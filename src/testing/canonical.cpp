@@ -1,6 +1,11 @@
 #include "testing/canonical.hpp"
 
+#include <cinttypes>
+#include <cstdio>
+
 #include "core/snapshot_builder.hpp"
+#include "io/flat_snapshot.hpp"
+#include "io/wire.hpp"
 #include "serve/query_engine.hpp"
 
 namespace asrel::testing {
@@ -13,9 +18,19 @@ core::ScenarioParams canonical_scenario_params() {
   return params;
 }
 
+std::string snapshot_digest_json(std::string_view flat_bytes) {
+  char buffer[96];
+  std::snprintf(buffer, sizeof buffer,
+                "{\"flat_v3_bytes\":%zu,\"fnv1a64\":\"%016" PRIx64 "\"}",
+                flat_bytes.size(), io::wire::fnv1a64(flat_bytes));
+  return buffer;
+}
+
 std::vector<GoldenReport> build_golden_reports(
     const core::Scenario& scenario) {
-  const serve::QueryEngine engine{core::build_snapshot(scenario)};
+  io::Snapshot snapshot = core::build_snapshot(scenario);
+  const std::string flat = io::to_flat_snapshot_bytes(snapshot);
+  const serve::QueryEngine engine{std::move(snapshot)};
 
   const auto report = [&](const char* filename, const std::string& key) {
     const auto json = engine.report_json(key);
@@ -27,6 +42,7 @@ std::vector<GoldenReport> build_golden_reports(
       report("table1_asrank.json", "table:asrank"),
       report("table2_problink.json", "table:problink"),
       report("table3_toposcope.json", "table:toposcope"),
+      GoldenReport{"snapshot_digest.json", snapshot_digest_json(flat)},
   };
 }
 

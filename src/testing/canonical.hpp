@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -25,10 +26,15 @@ struct GoldenReport {
   std::string json;
 };
 
+/// Byte length and FNV-1a 64 of a flat v3 snapshot, as one JSON line. The
+/// report goldens are aggregates; this pins every label, degree and link.
+[[nodiscard]] std::string snapshot_digest_json(std::string_view flat_bytes);
+
 /// Builds the Fig. 1/2 coverage reports and the Table 1-3 validation
 /// tables for `scenario` via the snapshot + QueryEngine path, so the
-/// golden files also pin the serialization format's semantics. Output
-/// order and bytes are deterministic.
+/// golden files also pin the serialization format's semantics, plus the
+/// digest of the scenario's flat v3 snapshot bytes. Output order and bytes
+/// are deterministic.
 [[nodiscard]] std::vector<GoldenReport> build_golden_reports(
     const core::Scenario& scenario);
 

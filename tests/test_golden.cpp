@@ -1,6 +1,7 @@
 // Golden-file regression: the canonical scenario's Fig. 1/2 and Table 1-3
-// JSON reports are checked in under tests/golden/ and must match the
-// current pipeline byte for byte. Regenerate deliberately with
+// JSON reports, plus the length and FNV-1a 64 of its flat v3 snapshot
+// (which pins every label, not just the aggregates), are checked in under
+// tests/golden/ and must match the current pipeline byte for byte. Regenerate deliberately with
 // `tools/asrel_golden --update` when an output change is intended.
 #include <gtest/gtest.h>
 

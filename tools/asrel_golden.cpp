@@ -4,7 +4,7 @@
 //   asrel_golden --update [--dir tests/golden]   (rewrite the files)
 //
 // The tool rebuilds the canonical scenario from scratch and renders the
-// Fig. 1/2 + Table 1-3 JSON reports twice, refusing to proceed if the two
+// Fig. 1/2 + Table 1-3 JSON reports and the flat snapshot digest twice, refusing to proceed if the two
 // passes disagree — golden files are only useful if the pipeline is
 // byte-deterministic in the first place.
 #include <cstdio>
