@@ -378,6 +378,12 @@ void PathTable::recount() {
   for (const auto& bucket : per_origin_) path_count_ += bucket.vp_ids.size();
 }
 
+std::size_t PathTable::hop_count() const {
+  std::size_t hops = 0;
+  for (const auto& bucket : per_origin_) hops += bucket.arena.size();
+  return hops;
+}
+
 void PathTable::for_each_path(
     const std::function<void(const PathRef&)>& visit) const {
   for (std::size_t origin = 0; origin < per_origin_.size(); ++origin) {

@@ -146,6 +146,8 @@ class PathTable {
 
   [[nodiscard]] std::size_t origin_count() const { return per_origin_.size(); }
   [[nodiscard]] std::size_t path_count() const { return path_count_; }
+  /// Stored hops over all paths (prepending included).
+  [[nodiscard]] std::size_t hop_count() const;
   [[nodiscard]] std::span<const VantagePoint> vantage_points() const {
     return vps_;
   }

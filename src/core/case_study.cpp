@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <unordered_set>
+#include <vector>
 
 namespace asrel::core {
 
@@ -38,23 +38,31 @@ CaseStudyReport run_case_study(const Scenario& scenario,
   if (report.dominant_count == 0) return report;
 
   // ---- 2. Triplet search: any C|T1|X with C another clique member? -------
-  std::unordered_set<asn::Asn> clique_set(world.clique.begin(),
-                                          world.clique.end());
   const auto& observed = scenario.observed();
-  std::unordered_set<val::AsLink> target_set;
-  for (const auto& link : by_tier1[report.dominant_tier1]) {
-    target_set.insert(link);
+  std::vector<std::uint8_t> in_clique(observed.as_count(), 0);
+  for (const asn::Asn member : world.clique) {
+    if (const auto index = observed.index_of(member)) in_clique[*index] = 1;
   }
-  std::unordered_set<val::AsLink> with_triplet;
-  for (std::size_t p = 0; p < observed.path_count(); ++p) {
-    const auto path = observed.path(p);
-    for (std::size_t i = 0; i + 2 < path.size(); ++i) {
-      if (path[i + 1] != report.dominant_tier1) continue;
-      if (!clique_set.contains(path[i])) continue;
-      const val::AsLink candidate{path[i + 1], path[i + 2]};
-      if (target_set.contains(candidate)) with_triplet.insert(candidate);
+  // Per LinkId: 1 = a target link, 2 = a target seen after C|T1.
+  std::vector<std::uint8_t> target_state(observed.link_count(), 0);
+  for (const auto& link : by_tier1[report.dominant_tier1]) {
+    const infer::LinkId id = observed.find_link(link);
+    if (id != infer::kNoLink) target_state[id] = 1;
+  }
+  if (const auto tier1 = observed.index_of(report.dominant_tier1)) {
+    for (std::size_t p = 0; p < observed.path_count(); ++p) {
+      const auto path = observed.path(p);
+      for (std::size_t i = 0; i + 2 < path.size(); ++i) {
+        if (path[i + 1] != *tier1 || in_clique[path[i]] == 0) continue;
+        const infer::LinkId id = observed.link_id(path[i + 1], path[i + 2]);
+        if (target_state[id] != 0) target_state[id] = 2;
+      }
     }
   }
+  const auto with_triplet = [&](const val::AsLink& link) {
+    const infer::LinkId id = observed.find_link(link);
+    return id != infer::kNoLink && target_state[id] == 2;
+  };
 
   // ---- 3. Looking-glass investigation of each target ---------------------
   const LookingGlass glass{world, scenario.schemes(),
@@ -66,7 +74,7 @@ CaseStudyReport run_case_study(const Scenario& scenario,
     TargetLink target;
     target.tier1 = report.dominant_tier1;
     target.other = link.a == report.dominant_tier1 ? link.b : link.a;
-    target.clique_triplet_found = with_triplet.contains(link);
+    target.clique_triplet_found = with_triplet(link);
 
     const auto route = glass.query(target.tier1, target.other);
     target.action_community_seen =

@@ -36,24 +36,22 @@ LinkFeatureExtractor::LinkFeatureExtractor(const Scenario& scenario,
     return out;
   };
 
-  // Accumulators per link id (aligned with observed.link_order()).
+  // Accumulators per link id (aligned with observed.link_order()), over AS
+  // indices; origins map back to ASNs when their prefixes are summed.
   const auto& links = observed.link_order();
   struct Accumulator {
-    std::vector<Asn> left;
-    std::vector<Asn> right;
-    std::vector<Asn> redistributed_origins;
-    std::vector<Asn> originated_origins;
+    std::vector<infer::AsIndex> left;
+    std::vector<infer::AsIndex> right;
+    std::vector<infer::AsIndex> redistributed_origins;
+    std::vector<infer::AsIndex> originated_origins;
   };
   std::vector<Accumulator> acc(links.size());
 
   for (std::size_t p = 0; p < observed.path_count(); ++p) {
     const auto path = observed.path(p);
-    const Asn origin = path.back();
+    const infer::AsIndex origin = path.back();
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const val::AsLink link{path[i], path[i + 1]};
-      const auto* info = observed.link(link);
-      if (info == nullptr) continue;
-      auto& a = acc[info->link_id];
+      auto& a = acc[observed.link_id(path[i], path[i + 1])];
       for (std::size_t j = 0; j < i; ++j) insert_unique(a.left, path[j]);
       for (std::size_t j = i + 2; j < path.size(); ++j) {
         insert_unique(a.right, path[j]);
@@ -87,25 +85,23 @@ LinkFeatureExtractor::LinkFeatureExtractor(const Scenario& scenario,
     const auto& link = links[i];
     const auto& a = acc[i];
     LinkFeatures f;
-    f.vp_visibility = observed.link(link)->vp_count;
-    for (const Asn origin : a.redistributed_origins) {
-      const auto [count, addresses] = prefix_stats(origin);
+    f.vp_visibility = observed.link_vp_count(static_cast<infer::LinkId>(i));
+    for (const infer::AsIndex origin : a.redistributed_origins) {
+      const auto [count, addresses] = prefix_stats(observed.asn_at(origin));
       f.prefixes_redistributed += count;
       f.addresses_redistributed += addresses;
     }
-    for (const Asn origin : a.originated_origins) {
-      const auto [count, addresses] = prefix_stats(origin);
+    for (const infer::AsIndex origin : a.originated_origins) {
+      const auto [count, addresses] = prefix_stats(observed.asn_at(origin));
       f.prefixes_originated += count;
       f.addresses_originated += addresses;
     }
     f.ases_left = static_cast<std::uint32_t>(a.left.size());
     f.ases_right = static_cast<std::uint32_t>(a.right.size());
 
-    const auto ia = observed.index_of(link.a);
-    const auto ib = observed.index_of(link.b);
-    f.transit_degree_diff =
-        relative_diff(ia ? observed.transit_degree(*ia) : 0,
-                      ib ? observed.transit_degree(*ib) : 0);
+    const auto [ia, ib] = observed.link_ends(static_cast<infer::LinkId>(i));
+    f.transit_degree_diff = relative_diff(observed.transit_degree(ia),
+                                          observed.transit_degree(ib));
     const auto ppdc_of = [&](Asn asn) -> double {
       const auto it = ppdc.find(asn);
       return it == ppdc.end() ? 0.0 : it->second;

@@ -1,8 +1,8 @@
 #include "infer/clique.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+
+#include "obs/trace.hpp"
 
 namespace asrel::infer {
 
@@ -45,17 +45,16 @@ void bron_kerbosch(const std::vector<std::vector<bool>>& adjacent,
 }
 
 /// How often each AS appears directly after two consecutive members of
-/// `clique` in a path — i.e. receives transit through the top of the
+/// the clique in a path — i.e. receives transit through the top of the
 /// hierarchy. Provider-free ASes never do; customers of clique members do.
-std::unordered_map<asn::Asn, std::uint32_t> transit_evidence(
-    const ObservedPaths& observed,
-    const std::unordered_set<asn::Asn>& clique) {
-  std::unordered_map<asn::Asn, std::uint32_t> counts;
+/// Indexed by AsIndex; `member` holds one byte per AsIndex.
+std::vector<std::uint32_t> transit_evidence(
+    const ObservedPaths& observed, const std::vector<std::uint8_t>& member) {
+  std::vector<std::uint32_t> counts(observed.as_count(), 0);
   for (std::size_t p = 0; p < observed.path_count(); ++p) {
     const auto path = observed.path(p);
     for (std::size_t i = 0; i + 2 < path.size(); ++i) {
-      if (clique.contains(path[i]) && clique.contains(path[i + 1]) &&
-          path[i] != path[i + 1]) {
+      if (member[path[i]] != 0 && member[path[i + 1]] != 0) {
         ++counts[path[i + 2]];
       }
     }
@@ -69,20 +68,17 @@ constexpr std::uint32_t kTransitedThreshold = 2;
 
 std::vector<asn::Asn> infer_clique(const ObservedPaths& observed,
                                    const CliqueParams& params) {
+  obs::StageScope stage{"infer.clique"};
   const auto rank = observed.rank_order();
   const std::size_t pool =
       std::min(params.seed_pool, static_cast<std::size_t>(rank.size()));
   if (pool == 0) return {};
 
-  const auto linked = [&](AsIndex a, AsIndex b) {
-    return observed.link(AsLink{observed.asn_at(a), observed.asn_at(b)}) !=
-           nullptr;
-  };
-
   std::vector<std::vector<bool>> adjacent(pool, std::vector<bool>(pool));
   for (std::size_t i = 0; i < pool; ++i) {
     for (std::size_t j = i + 1; j < pool; ++j) {
-      adjacent[i][j] = adjacent[j][i] = linked(rank[i], rank[j]);
+      adjacent[i][j] = adjacent[j][i] =
+          observed.link_id(rank[i], rank[j]) != kNoLink;
     }
   }
 
@@ -93,29 +89,48 @@ std::vector<asn::Asn> infer_clique(const ObservedPaths& observed,
   bron_kerbosch(adjacent, current, std::move(candidates), {}, best);
   if (best.empty()) best.push_back(0);  // degenerate: just the top AS
 
-  std::unordered_set<asn::Asn> clique;
-  for (const std::size_t i : best) clique.insert(observed.asn_at(rank[i]));
+  // Membership is one byte per AsIndex. Transit evidence depends only on
+  // the membership, so it is recomputed only after the clique changes.
+  const std::size_t n = observed.as_count();
+  std::vector<std::uint8_t> member(n, 0);
+  std::size_t size = 0;
+  for (const std::size_t i : best) {
+    member[rank[i]] = 1;
+    ++size;
+  }
+  std::vector<std::uint32_t> evidence;
+  bool evidence_stale = true;
+  const auto current_evidence = [&]() -> const std::vector<std::uint32_t>& {
+    if (evidence_stale) {
+      evidence = transit_evidence(observed, member);
+      evidence_stale = false;
+    }
+    return evidence;
+  };
+  const auto set_member = [&](AsIndex as, bool in) {
+    member[as] = in ? 1 : 0;
+    in ? ++size : --size;
+    evidence_stale = true;
+  };
 
   // A member that receives transit *through* two other members is not
   // provider-free; purge the worst offender at a time so the evidence gets
-  // cleaner as the seed purifies.
+  // cleaner as the seed purifies. Ties go to the lowest ASN, i.e. the
+  // lowest index.
   const auto purify = [&] {
     bool removed_any = false;
-    while (clique.size() > 1) {
-      const auto evidence = transit_evidence(observed, clique);
-      asn::Asn worst;
+    while (size > 1) {
+      const auto& counts = current_evidence();
+      AsIndex worst = kNoAs;
       std::uint32_t worst_count = 0;
-      for (const asn::Asn member : clique) {
-        const auto it = evidence.find(member);
-        const std::uint32_t count = it == evidence.end() ? 0 : it->second;
-        if (count > worst_count ||
-            (count == worst_count && count > 0 && member < worst)) {
-          worst_count = count;
-          worst = member;
+      for (AsIndex as = 0; as < n; ++as) {
+        if (member[as] != 0 && counts[as] > worst_count) {
+          worst_count = counts[as];
+          worst = as;
         }
       }
       if (worst_count < kTransitedThreshold) break;
-      clique.erase(worst);
+      set_member(worst, false);
       removed_any = true;
     }
     return removed_any;
@@ -128,20 +143,16 @@ std::vector<asn::Asn> infer_clique(const ObservedPaths& observed,
   const auto extend = [&] {
     bool added_any = false;
     for (std::size_t i = 0; i < extension; ++i) {
-      const asn::Asn candidate = observed.asn_at(rank[i]);
-      if (clique.contains(candidate)) continue;
+      const AsIndex candidate = rank[i];
+      if (member[candidate] != 0) continue;
       bool connected_to_all = true;
-      for (const asn::Asn member : clique) {
-        if (observed.link(AsLink{candidate, member}) == nullptr) {
-          connected_to_all = false;
-          break;
-        }
+      for (AsIndex as = 0; as < n && connected_to_all; ++as) {
+        connected_to_all =
+            member[as] == 0 || observed.link_id(candidate, as) != kNoLink;
       }
       if (!connected_to_all) continue;
-      const auto evidence = transit_evidence(observed, clique);
-      const auto it = evidence.find(candidate);
-      if (it != evidence.end() && it->second >= kTransitedThreshold) continue;
-      clique.insert(candidate);
+      if (current_evidence()[candidate] >= kTransitedThreshold) continue;
+      set_member(candidate, true);
       added_any = true;
     }
     return added_any;
@@ -157,8 +168,11 @@ std::vector<asn::Asn> infer_clique(const ObservedPaths& observed,
     if (!grew && !shrank) break;
   }
 
-  std::vector<asn::Asn> out(clique.begin(), clique.end());
-  std::sort(out.begin(), out.end());
+  std::vector<asn::Asn> out;
+  out.reserve(size);
+  for (AsIndex as = 0; as < n; ++as) {
+    if (member[as] != 0) out.push_back(observed.asn_at(as));
+  }
   return out;
 }
 

@@ -1,8 +1,7 @@
 #include "infer/complex.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 namespace asrel::infer {
 
@@ -23,8 +22,18 @@ struct Evidence {
 std::vector<ComplexCandidate> detect_complex_relationships(
     const ObservedPaths& observed, std::span<const asn::Asn> clique,
     const ComplexParams& params) {
-  std::unordered_set<Asn> clique_set(clique.begin(), clique.end());
-  std::unordered_map<val::AsLink, Evidence> evidence;
+  std::vector<std::uint8_t> in_clique(observed.as_count(), 0);
+  for (const Asn member : clique) {
+    if (const auto index = observed.index_of(member)) in_clique[*index] = 1;
+  }
+  // Indexed by LinkId; `touched` marks links that gathered any evidence.
+  std::vector<Evidence> evidence(observed.link_count());
+  std::vector<std::uint8_t> touched(observed.link_count(), 0);
+  const auto entry_of = [&](AsIndex x, AsIndex y) -> Evidence& {
+    const LinkId id = observed.link_id(x, y);
+    touched[id] = 1;
+    return evidence[id];
+  };
 
   for (std::size_t p = 0; p < observed.path_count(); ++p) {
     const auto path = observed.path(p);
@@ -33,25 +42,27 @@ std::vector<ComplexCandidate> detect_complex_relationships(
     bool touches_clique = false;
     bool descending = false;
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const Asn x = path[i];
-      const Asn y = path[i + 1];
-      if (clique_set.contains(x)) touches_clique = true;
-      const val::AsLink link{x, y};
+      const AsIndex x = path[i];
+      const AsIndex y = path[i + 1];
+      const bool x_clique = in_clique[x] != 0;
+      const bool y_clique = in_clique[y] != 0;
+      if (x_clique) touches_clique = true;
+      // Index order is ASN order: x < y means x is link.a.
       if (descending) {
-        auto& entry = evidence[link];
-        (x == link.a) ? ++entry.descent_xy : ++entry.descent_yx;
+        auto& entry = entry_of(x, y);
+        (x < y) ? ++entry.descent_xy : ++entry.descent_yx;
       }
-      if (clique_set.contains(x) && clique_set.contains(y)) {
+      if (x_clique && y_clique) {
         descending = true;
         continue;
       }
-      if (clique_set.contains(x) && !clique_set.contains(y)) {
-        auto& entry = evidence[link];
-        (x == link.a) ? ++entry.after_clique_member_xy
-                      : ++entry.after_clique_member_yx;
+      if (x_clique) {
+        auto& entry = entry_of(x, y);
+        (x < y) ? ++entry.after_clique_member_xy
+                : ++entry.after_clique_member_yx;
       }
     }
-    if (clique_set.contains(path.back())) touches_clique = true;
+    if (in_clique[path.back()] != 0) touches_clique = true;
 
     // Local-peak evidence: in a clique-free path, the adjacent pair with
     // the two highest transit degrees behaves like the peering at the top.
@@ -59,24 +70,25 @@ std::vector<ComplexCandidate> detect_complex_relationships(
       std::size_t best = 0;
       std::uint64_t best_score = 0;
       for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        const auto ia = observed.index_of(path[i]);
-        const auto ib = observed.index_of(path[i + 1]);
         const std::uint64_t score =
-            (ia ? observed.transit_degree(*ia) : 0) +
-            (ib ? observed.transit_degree(*ib) : 0);
+            std::uint64_t{observed.transit_degree(path[i])} +
+            observed.transit_degree(path[i + 1]);
         if (score > best_score) {
           best_score = score;
           best = i;
         }
       }
       if (best > 0 && best + 2 < path.size()) {
-        ++evidence[val::AsLink{path[best], path[best + 1]}].peak;
+        ++entry_of(path[best], path[best + 1]).peak;
       }
     }
   }
 
   std::vector<ComplexCandidate> out;
-  for (const auto& [link, entry] : evidence) {
+  for (LinkId id = 0; id < observed.link_count(); ++id) {
+    if (touched[id] == 0) continue;
+    const val::AsLink& link = observed.link_order()[id];
+    const Evidence& entry = evidence[id];
     const std::uint32_t descent =
         std::max(entry.descent_xy, entry.descent_yx);
     // Hybrid: transit behaviour for some origins, peering for others.
@@ -92,16 +104,15 @@ std::vector<ComplexCandidate> detect_complex_relationships(
     // Partial transit: a clique member repeatedly carries this neighbor's
     // routes downward, yet no clique pair ever precedes the link (no
     // export across the top) and the neighbor clearly has a cone.
-    const bool a_clique = clique_set.contains(link.a);
-    const bool b_clique = clique_set.contains(link.b);
+    const auto [ia, ib] = observed.link_ends(id);
+    const bool a_clique = in_clique[ia] != 0;
+    const bool b_clique = in_clique[ib] != 0;
     if (a_clique == b_clique) continue;
-    const Asn customer = a_clique ? link.b : link.a;
     const std::uint32_t after_member = a_clique
                                            ? entry.after_clique_member_xy
                                            : entry.after_clique_member_yx;
-    const auto customer_index = observed.index_of(customer);
     const std::uint32_t customer_td =
-        customer_index ? observed.transit_degree(*customer_index) : 0;
+        observed.transit_degree(a_clique ? ib : ia);
     if (descent == 0 && after_member >= params.min_partial_transit_occurrences &&
         customer_td >= params.min_customer_transit_degree) {
       ComplexCandidate candidate;

@@ -1,22 +1,19 @@
 #include "infer/gao.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <vector>
 
 namespace asrel::infer {
 
-namespace {
-
-using asn::Asn;
-
-std::uint64_t directed_key(Asn a, Asn b) {
-  return (std::uint64_t{a.value()} << 32) | b.value();
-}
-
-}  // namespace
-
 Inference run_gao(const ObservedPaths& observed, const GaoParams& params) {
-  std::unordered_map<std::uint64_t, std::uint32_t> votes;
+  // Votes per directed link: 2 * link for link.a providing link.b,
+  // 2 * link + 1 for the reverse.
+  std::vector<std::uint32_t> votes(2 * observed.link_count(), 0);
+  const auto vote = [&](AsIndex provider, AsIndex customer) {
+    const LinkId link = observed.link_id(provider, customer);
+    ++votes[2 * link + (provider < customer ? 0 : 1)];
+  };
 
   for (std::size_t p = 0; p < observed.path_count(); ++p) {
     const auto path = observed.path(p);
@@ -25,8 +22,7 @@ Inference run_gao(const ObservedPaths& observed, const GaoParams& params) {
     std::size_t top = 0;
     std::uint32_t top_degree = 0;
     for (std::size_t i = 0; i < path.size(); ++i) {
-      const auto index = observed.index_of(path[i]);
-      const std::uint32_t degree = index ? observed.node_degree(*index) : 0;
+      const std::uint32_t degree = observed.node_degree(path[i]);
       if (degree > top_degree) {
         top_degree = degree;
         top = i;
@@ -35,28 +31,22 @@ Inference run_gao(const ObservedPaths& observed, const GaoParams& params) {
     // Left of the top the path ascends, right of it it descends.
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       if (i + 1 <= top) {
-        ++votes[directed_key(path[i + 1], path[i])];  // right provides left
+        vote(path[i + 1], path[i]);  // right provides left
       } else {
-        ++votes[directed_key(path[i], path[i + 1])];  // left provides right
+        vote(path[i], path[i + 1]);  // left provides right
       }
     }
   }
 
   Inference inference;
-  for (const auto& link : observed.link_order()) {
-    const auto va = [&] {
-      const auto it = votes.find(directed_key(link.a, link.b));
-      return it == votes.end() ? 0u : it->second;
-    }();
-    const auto vb = [&] {
-      const auto it = votes.find(directed_key(link.b, link.a));
-      return it == votes.end() ? 0u : it->second;
-    }();
+  for (LinkId id = 0; id < observed.link_count(); ++id) {
+    const AsLink& link = observed.link_order()[id];
+    const std::uint32_t va = votes[2 * id];
+    const std::uint32_t vb = votes[2 * id + 1];
     InferredRel rel;
-    const auto ia = observed.index_of(link.a);
-    const auto ib = observed.index_of(link.b);
-    const double da = ia ? observed.node_degree(*ia) : 0;
-    const double db = ib ? observed.node_degree(*ib) : 0;
+    const auto [ia, ib] = observed.link_ends(id);
+    const double da = observed.node_degree(ia);
+    const double db = observed.node_degree(ib);
     const double band = std::fabs(std::log2((da + 1.0) / (db + 1.0)));
 
     if (va > 0 && vb > 0 &&

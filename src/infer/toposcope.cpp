@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/parallel.hpp"
 #include "infer/link_class.hpp"
@@ -14,7 +12,6 @@ namespace asrel::infer {
 
 namespace {
 
-using asn::Asn;
 using val::AsLink;
 
 int bucket_votes(int votes) { return std::min(votes, 4); }
@@ -111,26 +108,22 @@ TopoScopeResult run_toposcope(const ObservedPaths& observed,
       }
     }
     const auto* global_rel = global.inference.find(links[i]);
-    const auto* info = observed.link(links[i]);
     features[i] = {bucket_votes(ab), bucket_votes(ba), bucket_votes(pp),
                    global_rel ? link_class_of(links[i], *global_rel)
                               : kLinkP2P,
-                   bucket_visibility(info ? info->vp_count : 0)};
+                   bucket_visibility(observed.link_vp_count(
+                       static_cast<LinkId>(i)))};
   });
 
   // ---- Ensemble: naive Bayes trained on the validation data -----------------
-  std::unordered_map<AsLink, std::uint32_t> link_index;
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    link_index.emplace(links[i], static_cast<std::uint32_t>(i));
-  }
   std::vector<std::pair<std::uint32_t, LinkClass>> train;
   for (const auto& label : training) {
-    const auto it = link_index.find(label.link);
-    if (it == link_index.end()) continue;
+    const LinkId id = observed.find_link(label.link);
+    if (id == kNoLink) continue;
     InferredRel rel;
     rel.rel = label.rel;
     rel.provider = label.provider;
-    train.emplace_back(it->second, link_class_of(label.link, rel));
+    train.emplace_back(id, link_class_of(label.link, rel));
   }
   result.training_links = train.size();
 
@@ -200,30 +193,25 @@ TopoScopeResult run_toposcope(const ObservedPaths& observed,
   // many neighbors without an observed link between them very likely
   // interconnect privately or via an IXP the collectors miss.
   {
-    // Neighbor sets from observed links.
-    std::unordered_map<Asn, std::vector<Asn>> neighbors;
-    for (const auto& link : links) {
-      neighbors[link.a].push_back(link.b);
-      neighbors[link.b].push_back(link.a);
-    }
-    for (auto& [asn, list] : neighbors) std::sort(list.begin(), list.end());
-
+    const auto by_neighbor = [](const Adjacency& x, const Adjacency& y) {
+      return x.neighbor < y.neighbor;
+    };
     const auto vp_asns = observed.vp_asns();
     for (std::size_t i = 0; i < vp_asns.size(); ++i) {
       for (std::size_t j = i + 1; j < vp_asns.size(); ++j) {
         const AsLink link{vp_asns[i], vp_asns[j]};
         if (link.a == link.b) continue;
-        if (observed.link(link) != nullptr) continue;
-        const auto ita = neighbors.find(vp_asns[i]);
-        const auto itb = neighbors.find(vp_asns[j]);
-        if (ita == neighbors.end() || itb == neighbors.end()) continue;
-        std::vector<Asn> common;
-        std::set_intersection(ita->second.begin(), ita->second.end(),
-                              itb->second.begin(), itb->second.end(),
-                              std::back_inserter(common));
+        const auto ia = observed.index_of(vp_asns[i]);
+        const auto ib = observed.index_of(vp_asns[j]);
+        if (!ia || !ib || observed.link_id(*ia, *ib) != kNoLink) continue;
+        const auto na = observed.neighbors(*ia);
+        const auto nb = observed.neighbors(*ib);
+        std::vector<Adjacency> common;
+        std::set_intersection(na.begin(), na.end(), nb.begin(), nb.end(),
+                              std::back_inserter(common), by_neighbor);
         if (common.size() < params.hidden_min_common_neighbors) continue;
-        const double unions = static_cast<double>(
-            ita->second.size() + itb->second.size() - common.size());
+        const double unions =
+            static_cast<double>(na.size() + nb.size() - common.size());
         result.hidden_links.push_back(
             {link, static_cast<double>(common.size()) / unions});
       }

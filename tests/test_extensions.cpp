@@ -125,7 +125,7 @@ TEST(ComplexDetection, FindsPlantedPartialTransit) {
     if (!edge.scope_via_community) continue;
     const val::AsLink link{world.graph.asn_of(edge.u),
                            world.graph.asn_of(edge.v)};
-    if (scenario.observed().link(link) == nullptr) continue;
+    if (scenario.observed().find_link(link) == infer::kNoLink) continue;
     ++tagged_visible;
     if (flagged.contains(link)) ++tagged_flagged;
   }

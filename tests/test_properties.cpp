@@ -81,8 +81,8 @@ TEST(Property, LinkOccurrencesMatchPathScan) {
     positions += observed.path(p).size() - 1;
   }
   std::size_t recorded = 0;
-  for (const auto& [link, info] : observed.links()) {
-    recorded += info.occurrences;
+  for (infer::LinkId id = 0; id < observed.link_count(); ++id) {
+    recorded += observed.link_occurrences(id);
   }
   EXPECT_EQ(recorded, positions);
 }
