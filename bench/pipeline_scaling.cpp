@@ -4,7 +4,9 @@
 // community extraction, ProbLink, TopoScope, and the BiasAudit tabulation —
 // is timed serial vs 2/4/8 workers, and each threaded run's output is
 // byte-compared against the serial baseline (the determinism contract, not
-// just a statistical check). Emits BENCH_pipeline.json; the recorded
+// just a statistical check). Sanitize (ObservedPaths::build) and ASRank are
+// serial stages; their rows run the same serial code at every setting, so
+// they show each stage's share of the pipeline and its run-to-run spread. Emits BENCH_pipeline.json; the recorded
 // hardware_threads puts the speedups in context — on a single-core runner
 // every parallel run degenerates to roughly serial wall-clock.
 //
@@ -46,6 +48,22 @@ std::string path_bytes(const bgp::PathTable& table) {
     for (const auto hop : ref.path) out << hop.value() << ',';
     out << '\n';
   });
+  return out.str();
+}
+
+std::string observed_bytes(const infer::ObservedPaths& observed) {
+  std::ostringstream out;
+  for (infer::LinkId id = 0; id < observed.link_count(); ++id) {
+    const auto& link = observed.link_order()[id];
+    out << link.a.value() << '-' << link.b.value() << ':'
+        << observed.link_occurrences(id) << ','
+        << observed.link_vp_count(id) << '\n';
+  }
+  for (const infer::AsIndex index : observed.rank_order()) {
+    out << observed.asn_at(index).value() << ':'
+        << observed.transit_degree(index) << ','
+        << observed.node_degree(index) << '\n';
+  }
   return out.str();
 }
 
@@ -125,6 +143,14 @@ int main() {
     return validation_bytes(val::extract_from_communities(
         scenario->propagator(), scenario->paths(), scenario->schemes(),
         extract));
+  }));
+
+  stages.push_back(run_stage("sanitize", [&](unsigned) {
+    return observed_bytes(infer::ObservedPaths::build(scenario->paths()));
+  }));
+
+  stages.push_back(run_stage("asrank", [&](unsigned) {
+    return rel_bytes(infer::run_asrank(observed).inference);
   }));
 
   stages.push_back(run_stage("problink", [&](unsigned threads) {
