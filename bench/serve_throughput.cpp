@@ -416,7 +416,7 @@ int main() {
     json.end_object();
   }
 
-  // ---- end-to-end HTTP over loopback: both front ends ----
+  // ---- end-to-end HTTP over loopback ----
   serve::AsrelService service{hub};
   const auto handler = [&service](const serve::HttpRequest& request) {
     return service.handle(request);
@@ -496,17 +496,11 @@ int main() {
 
   std::string error;
   json.key("http_rel").begin_array();
-  double threadpool_serial_rps = 0.0;
-  double epoll_serial_rps = 0.0;
   double epoll_pipelined_rps = 0.0;
-  for (const auto model : {serve::ServeModel::kThreadPool,
-                           serve::ServeModel::kEpoll}) {
-    const bool epoll = model == serve::ServeModel::kEpoll;
-    const char* frontend = epoll ? "epoll" : "threadpool";
+  {
     serve::HttpServerOptions options;
     options.port = 0;
     options.worker_threads = 4;
-    options.serve_model = model;
     serve::HttpServer server{handler, options};
     if (!server.start(&error)) {
       std::printf("FATAL: %s\n", error.c_str());
@@ -516,28 +510,24 @@ int main() {
       constexpr long kRequests = 20000;
       const auto [rate, errors] =
           run_http_rel(server.port(), clients, kRequests);
-      std::printf("http /rel %-10s x%d: %8.0f req/s (%ld errors)\n",
-                  frontend, clients, rate, errors);
-      if (clients == 1) {
-        (epoll ? epoll_serial_rps : threadpool_serial_rps) = rate;
-      }
+      std::printf("http /rel epoll      x%d: %8.0f req/s (%ld errors)\n",
+                  clients, rate, errors);
       json.begin_object()
-          .field("frontend", frontend)
+          .field("frontend", "epoll")
           .field("clients", clients)
           .field("requests_per_s", rate)
           .field("errors", static_cast<std::int64_t>(errors))
           .end_object();
     }
     for (const int depth : {16, 64}) {
-      const int rounds = epoll ? 2000 : 200;
       const auto [rate, errors] =
-          run_http_pipelined(server.port(), 2, depth, rounds);
-      std::printf("http /rel %-10s x2 pipeline %-4d: %8.0f req/s "
+          run_http_pipelined(server.port(), 2, depth, 2000);
+      std::printf("http /rel epoll      x2 pipeline %-4d: %8.0f req/s "
                   "(%ld errors)\n",
-                  frontend, depth, rate, errors);
-      if (epoll && depth == 64) epoll_pipelined_rps = rate;
+                  depth, rate, errors);
+      if (depth == 64) epoll_pipelined_rps = rate;
       json.begin_object()
-          .field("frontend", frontend)
+          .field("frontend", "epoll")
           .field("clients", 2)
           .field("pipeline", depth)
           .field("requests_per_s", rate)
@@ -555,7 +545,6 @@ int main() {
     serve::HttpServerOptions options;
     options.port = 0;
     options.worker_threads = 4;
-    options.serve_model = serve::ServeModel::kEpoll;
     serve::HttpServer server{
         [&flat_service](const serve::HttpRequest& request) {
           return flat_service.handle(request);
@@ -584,10 +573,6 @@ int main() {
   }
   json.end_array();
   json.field("baseline_rps", 83000.0);
-  json.field("epoll_vs_threadpool_serial",
-             threadpool_serial_rps > 0.0
-                 ? epoll_serial_rps / threadpool_serial_rps
-                 : 0.0);
   json.field("epoll_pipelined_vs_baseline",
              epoll_pipelined_rps / 83000.0);
   std::printf("epoll pipelined vs 83k baseline: %.1fx\n",

@@ -63,7 +63,7 @@ ThreadPool::ThreadPool(unsigned workers) {
   if (workers == 0) workers = effective_threads(0);
   workers_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this] { run_worker(); });
   }
 }
 
@@ -120,7 +120,7 @@ void ThreadPool::drain_batch(Batch& batch, bool on_worker) {
   claims.add(executed);
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::run_worker() {
   t_in_batch = true;  // nested calls from inside fn stay serial
   std::uint64_t seen_generation = 0;
   for (;;) {

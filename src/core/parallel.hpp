@@ -71,7 +71,7 @@ class ThreadPool {
  private:
   struct Batch;
 
-  void worker_loop();
+  void run_worker();
   static void drain_batch(Batch& batch, bool on_worker);
 
   std::mutex mutex_;

@@ -1,31 +1,27 @@
-// The epoll front end: nonblocking event loops behind the shared
-// admission queue.
+// The event loops behind HttpServer's admission queue.
 //
 // Each loop owns an epoll fd, a wake eventfd, a timer wheel, and the
-// connections it has claimed. Connections are claimed from the same
-// bounded pending_ queue the acceptor fills for the thread-pool model —
-// admission control (queue-full shed, EMFILE recovery) is identical by
-// construction. Handlers run inline on the loop thread; that is a
-// deliberate equivalence decision, not a simplification: a loop busy in a
-// handler cannot claim queued connections, so overload backs up into the
-// bounded queue and sheds at admission exactly like a busy worker pool.
+// connections it has claimed from the bounded pending_ queue the acceptor
+// fills. Handlers run inline on the loop thread; that is deliberate: a
+// loop busy in a handler cannot claim queued connections, so overload
+// backs up into the bounded queue and sheds at admission.
 //
 // The throughput story is batching. One readiness event pulls every
-// available byte off the socket, the shared RequestAssembler slices the
-// buffer into as many pipelined requests as arrived, each response is
-// rendered into a shared output chunk, and one writev pushes the batch
-// back out. A pipelined burst of N requests costs O(1) syscalls instead
-// of the blocking path's O(N) recv + O(N) send — on loopback this is the
-// difference between ~80k and ~1M requests per second on one core.
+// available byte off the socket, the RequestAssembler slices the buffer
+// into as many pipelined requests as arrived, each response is rendered
+// into a shared output chunk, and one writev pushes the batch back out. A
+// pipelined burst of N requests costs O(1) syscalls instead of O(N) recv +
+// O(N) send — on loopback this is the difference between ~80k and ~1M
+// requests per second on one core.
 //
-// Timeout semantics mirror the blocking path observably:
-//  - total per-request deadline: checked lazily when data arrives (the
-//    blocking path checks before each recv). Never timer-fired: firing a
-//    408 between a trickler's sends would race the close against the
-//    client's next write and an RST could discard the buffered 408.
-//  - stall/idle timeout (request_timeout_ms): timer-wheel driven, the
-//    analogue of SO_RCVTIMEO. Mid-request stall answers 408; an idle
-//    keep-alive is closed silently; a write-stalled connection is cut.
+// Timeouts:
+//  - total per-request deadline: checked lazily when data arrives, before
+//    the new bytes are consumed. Never timer-fired: firing a 408 between
+//    a trickler's sends would race the close against the client's next
+//    write and an RST could discard the buffered 408.
+//  - stall/idle timeout (request_timeout_ms): timer-wheel driven.
+//    Mid-request stall answers 408; an idle keep-alive is closed
+//    silently; a write-stalled connection is cut.
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -87,8 +83,7 @@ struct HttpServer::EpollLoop {
     std::deque<std::string> out;
     std::size_t out_off = 0;
     /// When the current request cycle began — the total-deadline anchor.
-    /// Reset after each dispatched request, like the blocking path resets
-    /// its per-iteration clock after each response.
+    /// Reset after each dispatched request.
     Clock::time_point cycle_start;
     Clock::time_point last_activity;
     bool want_write = false;       ///< EPOLLOUT currently armed
@@ -127,8 +122,8 @@ struct HttpServer::EpollLoop {
     ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &event);
   }
 
-  /// Closes a connection with the same drained/aborted bookkeeping the
-  /// thread-pool worker applies after serve_connection returns.
+  /// Closes a connection, counting it drained or aborted when a drain or
+  /// stop is under way.
   void close_conn(HttpServer& server, int fd) {
     wheel.cancel(static_cast<std::uint64_t>(fd));
     ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
@@ -147,8 +142,7 @@ struct HttpServer::EpollLoop {
     conns.erase(fd);
   }
 
-  /// Renders `response` into the connection's output queue; the bytes are
-  /// identical to the blocking path's (same append_http_response).
+  /// Renders `response` into the connection's output queue.
   void queue_response(Conn& conn, const HttpResponse& response,
                       bool keep_alive) {
     if (conn.out.empty() || conn.out.back().size() >= kOutChunkTarget) {
@@ -244,7 +238,7 @@ struct HttpServer::EpollLoop {
           break;
         }
 
-        // ---- dispatch; identical accounting to the blocking path ----
+        // ---- dispatch ----
         server.requests_->inc();
         const auto dispatch_started = Clock::now();
         const bool tracing = obs::Tracer::instance().enabled();
@@ -302,9 +296,8 @@ struct HttpServer::EpollLoop {
   }
 
   void on_readable(HttpServer& server, int fd, Conn& conn) {
-    // Lazy total-deadline check, in the same position the blocking path
-    // checks it: before consuming newly arrived bytes, only while a
-    // request is mid-flight.
+    // Lazy total-deadline check: before consuming newly arrived bytes,
+    // only while a request is mid-flight.
     const auto now = Clock::now();
     if (conn.assembler.has_partial() &&
         now >= conn.cycle_start +
@@ -401,12 +394,12 @@ struct HttpServer::EpollLoop {
       return;
     }
     if (!conn.out.empty()) {
-      // Write-stalled: the peer stopped reading. SO_SNDTIMEO analogue.
+      // Write-stalled: the peer stopped reading.
       close_conn(server, fd);
       return;
     }
     if (conn.assembler.has_partial()) {
-      // Mid-request read stall: SO_RCVTIMEO analogue, same 408.
+      // Mid-request read stall: 408.
       server.timeouts_->inc();
       queue_response(conn,
                      HttpResponse::json(408, R"({"error":"request timeout"})"),
@@ -422,7 +415,7 @@ struct HttpServer::EpollLoop {
 
   /// Claims every queued connection. Runs between event batches, so a
   /// loop stuck in a handler claims nothing — the queue backs up and the
-  /// acceptor sheds, preserving the thread-pool's admission behavior.
+  /// acceptor sheds.
   void claim_pending(HttpServer& server) {
     for (;;) {
       PendingConn pending;
@@ -554,8 +547,8 @@ void HttpServer::epoll_loop(EpollLoop& loop) {
             Clock::now() - iteration_started)
             .count()));
   }
-  // Exit: every remaining connection gets the same bookkeeping close the
-  // worker pool applies (stop()/drain() have already marked them aborted).
+  // Exit: every remaining connection gets the bookkeeping close
+  // (stop()/drain() have already marked them aborted).
   std::uint64_t closed_at_exit = 0;
   while (!loop.conns.empty()) {
     loop.close_conn(*this, loop.conns.begin()->first);

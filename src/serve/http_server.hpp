@@ -1,28 +1,22 @@
-// HTTP/1.1 server over POSIX sockets, with two front ends.
+// HTTP/1.1 server over POSIX sockets.
 //
 // Concurrency model: one acceptor thread pushes connections onto a
 // bounded queue; when the queue is full the acceptor sheds load with an
 // immediate 503 + Retry-After instead of letting the backlog grow — the
 // bound, not the kernel backlog, is the system's admission control.
-// Behind the queue sits one of two front ends selected by
-// HttpServerOptions::serve_model:
+// Behind the queue, event loops over nonblocking sockets
+// (serve/epoll_server.cpp) claim queued connections, parse pipelined
+// requests out of a per-connection carried-over buffer
+// (serve/request_assembler), run handlers inline, and flush batched
+// responses with writev — the syscall-amortized path that serves
+// pipelined keep-alive bursts at memory speed. The bytes of every response
+// are pinned by tests/golden/wire_transcript.http.
 //
-//  - kEpoll (default): event loops over nonblocking sockets. Each loop
-//    claims queued connections, parses pipelined requests out of a
-//    per-connection carried-over buffer (serve/request_assembler), runs
-//    handlers inline, and flushes batched responses with writev — the
-//    syscall-amortized path that serves pipelined keep-alive bursts at
-//    memory speed. Timeouts ride a timer wheel; the total per-request
-//    deadline is checked lazily on data arrival, exactly like the
-//    blocking path checks it before each recv.
-//  - kThreadPool: the original blocking pool — workers pop connections
-//    and serve keep-alive request loops with SO_RCVTIMEO/SO_SNDTIMEO
-//    bounding each recv/send. Kept as the reference implementation; CI
-//    asserts both front ends produce byte-identical responses.
-//
-// In both models a total per-request deadline bounds slow-trickle
-// (slowloris-style) uploads that would otherwise reset the socket
-// timeout byte by byte.
+// Timeouts ride a per-loop timer wheel: a connection that stalls mid-
+// request, mid-write or idle for request_timeout_ms is cut (408 when a
+// request was in progress). A total per-request deadline, checked lazily
+// whenever data arrives, bounds slow-trickle (slowloris-style) uploads
+// that would otherwise reset the stall timer byte by byte.
 //
 // Robustness: the accept loop retries EINTR/ECONNABORTED and survives fd
 // exhaustion (EMFILE/ENFILE) via a reserved emergency fd — close it,
@@ -47,7 +41,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -105,20 +98,15 @@ struct DrainReport {
   std::uint64_t aborted = 0;
 };
 
-/// Which front end serves connections behind the admission queue.
-enum class ServeModel {
-  kEpoll,       ///< nonblocking event loops, pipelined parse, writev flush
-  kThreadPool,  ///< blocking workers, one connection per thread at a time
-};
-
 struct HttpServerOptions {
   std::uint16_t port = 0;  ///< 0 = ephemeral; see HttpServer::port()
-  ServeModel serve_model = ServeModel::kEpoll;
-  /// kThreadPool: blocking worker count. kEpoll: event-loop count.
+  /// Number of event loops (threads) serving connections.
   int worker_threads = 4;
   int listen_backlog = 128;
   std::size_t max_pending_connections = 256;  ///< bounded accept queue
-  int request_timeout_ms = 5000;   ///< per-recv/send socket timeout
+  /// Stall/idle timeout on the loop's timer wheel: a connection with no
+  /// read or write progress for this long is cut (408 mid-request).
+  int request_timeout_ms = 5000;
   int request_deadline_ms = 10000; ///< total wall clock per request
   int drain_deadline_ms = 5000;    ///< grace period for drain()
   int retry_after_hint_s = 1;      ///< Retry-After on shed 503s
@@ -156,7 +144,7 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and spawns the acceptor + workers. Returns false and
+  /// Binds, listens, and spawns the acceptor + event loops. Returns false and
   /// fills `*error` on socket errors (port in use, ...).
   [[nodiscard]] bool start(std::string* error = nullptr);
 
@@ -201,9 +189,7 @@ class HttpServer {
 
  private:
   void accept_loop();
-  void worker_loop();
-  void serve_connection(int fd, std::uint64_t connection_sequence);
-  // ---- epoll front end (serve/epoll_server.cpp) ----
+  // ---- event loops (serve/epoll_server.cpp) ----
   /// Per-loop state: epoll fd, wake eventfd, connections, timer wheel.
   /// Defined in epoll_server.cpp; held by shared_ptr so this header stays
   /// free of epoll details.
@@ -237,14 +223,13 @@ class HttpServer {
   std::atomic<bool> draining_{false};
 
   std::thread acceptor_;
-  std::vector<std::thread> workers_;  ///< pool workers or event loops
+  std::vector<std::thread> workers_;  ///< one thread per event loop
   std::vector<std::shared_ptr<EpollLoop>> loops_;
 
   std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
   /// Accepted, not-yet-claimed connections. The sequence number (accept
   /// order) seeds the connection's request-id stream, making ids a pure
-  /// function of (server, accept order, request index) in both models.
+  /// function of (server, accept order, request index).
   struct PendingConn {
     int fd = -1;
     std::uint64_t sequence = 0;
@@ -286,8 +271,7 @@ class HttpServer {
   };
   std::unordered_map<std::string, RouteObs> route_latency_;
   RouteObs other_route_;  ///< fold-in series for unknown paths
-  // Epoll-loop internals (populated only by the epoll front end; present
-  // in every exposition so scrapes have a stable schema).
+  // Event-loop internals.
   obs::Histogram* epoll_ready_fds_ = nullptr;
   obs::Histogram* epoll_iteration_us_ = nullptr;
   obs::Counter* timer_arms_ = nullptr;

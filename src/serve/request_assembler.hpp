@@ -1,12 +1,11 @@
 // Incremental HTTP/1.1 request assembly over a carried-over buffer.
 //
-// Both serve front ends feed raw recv bytes into one of these and pull
+// Each connection feeds raw recv bytes into one of these and pulls
 // complete requests off the front; whatever is left after a request —
 // pipelined followers, a partial next request — stays in the buffer for
-// the next pull. Centralizing the residual-buffer carry-over here is what
-// keeps the two front ends from diverging: the blocking path loops
-// next() inline between recvs, the epoll path drains next() after every
-// readiness event, and both see the exact same request boundaries.
+// the next pull. The event loop drains next() after every readiness
+// event, so request boundaries do not depend on how the bytes were
+// segmented on the wire.
 //
 // The assembler owns only framing (header end, Content-Length body) and
 // size limits; header semantics stay in parse_http_request. Bodies are
@@ -17,8 +16,8 @@
 // every request pulled off the wire gets the next splitmix64 id from
 // that stream (unless the client supplied a valid X-Request-Id, which
 // wins). Ids are therefore a pure function of (server, accept order,
-// request index) — the property that keeps the two front ends
-// byte-identical, echo header included.
+// request index) — the property that lets a golden transcript pin the
+// echo header too.
 #pragma once
 
 #include <cstddef>
@@ -59,7 +58,7 @@ class RequestAssembler {
 
   /// Seeds this connection's request-id stream. The acceptor passes its
   /// per-server connection sequence number, so ids are deterministic for
-  /// a given accept order regardless of front end.
+  /// a given accept order.
   void seed_request_ids(std::uint64_t connection_sequence) {
     id_state_ = connection_sequence;
   }

@@ -1,12 +1,11 @@
-// Shared HTTP/1.1 response assembly for both serve front ends.
+// HTTP/1.1 response assembly.
 //
-// The blocking thread-pool path and the epoll event loop must produce
-// byte-identical responses (CI asserts it), so all header rendering lives
-// here: status lines and fixed header fragments are preassembled once and
-// memcpy'd into place, the only per-response formatting being the
-// Content-Length digits. The epoll path appends many responses into one
-// output queue and flushes them with a single writev; the blocking path
-// renders one response at a time through the same append routine.
+// All header rendering lives here: status lines and fixed header fragments
+// are preassembled once and memcpy'd into place, the only per-response
+// formatting being the Content-Length digits. The event loops append many
+// responses into one output queue and flush them with a single writev;
+// the shed and drain paths render one response at a time through the same
+// append routine. tests/golden/wire_transcript.http pins the bytes.
 //
 // The shed response (503 + Retry-After) also has exactly one builder —
 // admission-control sheds, EMFILE emergency sheds, and drain-time sheds
@@ -24,11 +23,11 @@ namespace asrel::serve {
 
 /// Appends one fully rendered response (status line, headers, body) to
 /// `out`. `keep_alive` selects the Connection header. This is the single
-/// source of response bytes for both front ends.
+/// source of response bytes.
 void append_http_response(std::string& out, const HttpResponse& response,
                           bool keep_alive);
 
-/// One-shot form of append_http_response (blocking path convenience).
+/// One-shot form of append_http_response (shed and drain responses).
 [[nodiscard]] std::string render_http_response(const HttpResponse& response,
                                                bool keep_alive);
 

@@ -721,9 +721,7 @@ std::string header_value(const std::string& headers, const std::string& name) {
   return headers.substr(at + needle.size(), end - at - needle.size());
 }
 
-class ObsHttpRequestId : public ::testing::TestWithParam<serve::ServeModel> {};
-
-TEST_P(ObsHttpRequestId, EchoAndJoinAcrossSlowzTracezLogz) {
+TEST(ObsHttpRequestId, EchoAndJoinAcrossSlowzTracezLogz) {
   obs::ScopedTracing tracing{true, /*clear_on_exit=*/true};
   obs::ScopedLogging logging{true, /*clear_on_exit=*/true};
   obs::Tracer::instance().clear();
@@ -731,7 +729,6 @@ TEST_P(ObsHttpRequestId, EchoAndJoinAcrossSlowzTracezLogz) {
 
   serve::HttpServerOptions options;
   options.port = 0;
-  options.serve_model = GetParam();
   options.worker_threads = 2;
   options.metrics_routes = {"/ping"};
   options.epoch_supplier = [] { return std::uint64_t{77}; };
@@ -820,14 +817,6 @@ TEST_P(ObsHttpRequestId, EchoAndJoinAcrossSlowzTracezLogz) {
 
   server.stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    ServeModels, ObsHttpRequestId,
-    ::testing::Values(serve::ServeModel::kEpoll,
-                      serve::ServeModel::kThreadPool),
-    [](const ::testing::TestParamInfo<serve::ServeModel>& info) {
-      return info.param == serve::ServeModel::kEpoll ? "Epoll" : "ThreadPool";
-    });
 
 // ---------------------------------------------------------- flight recorder
 

@@ -386,13 +386,10 @@ class TestClient {
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
   /// Sends raw bytes and reads one full response. Returns the status, or
-  /// -1 on transport failure. Fills `*body` with the response body and
-  /// `*wire` with the complete response (status line, headers, body) —
-  /// the byte-identical-frontends test compares the latter verbatim.
+  /// -1 on transport failure. Fills `*body` with the response body.
   /// Passing an empty `raw` sends nothing and just reads the next
   /// response out of the carried-over buffer (pipelined followers).
-  int request(const std::string& raw, std::string* body = nullptr,
-              std::string* wire = nullptr) {
+  int request(const std::string& raw, std::string* body = nullptr) {
     if (::send(fd_, raw.data(), raw.size(), MSG_NOSIGNAL) !=
         static_cast<ssize_t>(raw.size())) {
       return -1;
@@ -414,17 +411,14 @@ class TestClient {
       if (!recv_more(&data)) return -1;
     }
     if (body != nullptr) *body = data.substr(header_end + 4, content_length);
-    if (wire != nullptr) *wire = data.substr(0, total);
     leftover_ = data.substr(total);
     const std::size_t space = data.find(' ');
     return space == std::string::npos ? -1
                                       : std::atoi(data.c_str() + space + 1);
   }
 
-  int get(const std::string& path, std::string* body = nullptr,
-          std::string* wire = nullptr) {
-    return request("GET " + path + " HTTP/1.1\r\nHost: test\r\n\r\n", body,
-                   wire);
+  int get(const std::string& path, std::string* body = nullptr) {
+    return request("GET " + path + " HTTP/1.1\r\nHost: test\r\n\r\n", body);
   }
 
   /// Sends bytes without reading a response (split-segment tests).
@@ -512,17 +506,12 @@ TEST(HttpIntegration, ServesRelReportsHealthAndErrors) {
 
 // ------------------------------------------------------------- pipelining
 
-/// One ready-to-start server + service per test, front end chosen by the
-/// test parameter — pipelining semantics must be identical across both.
-class HttpPipelining : public ::testing::TestWithParam<serve::ServeModel> {};
-
-TEST_P(HttpPipelining, TwoRequestsInOneSegmentAreBothServedInOrder) {
+TEST(HttpPipelining, TwoRequestsInOneSegmentAreBothServedInOrder) {
   auto engine = std::make_shared<const serve::QueryEngine>(
       io::Snapshot{shared_snapshot()});
   serve::AsrelService service{engine};
   serve::HttpServerOptions options;
   options.port = 0;
-  options.serve_model = GetParam();
   options.worker_threads = 2;
   serve::HttpServer server{
       [&service](const serve::HttpRequest& request) {
@@ -566,74 +555,6 @@ TEST_P(HttpPipelining, TwoRequestsInOneSegmentAreBothServedInOrder) {
   EXPECT_NE(body.find("\"found\":true"), std::string::npos) << body;
   EXPECT_EQ(client.request("", &body), 200);
   server.stop();
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    BothFrontends, HttpPipelining,
-    ::testing::Values(serve::ServeModel::kEpoll,
-                      serve::ServeModel::kThreadPool),
-    [](const ::testing::TestParamInfo<serve::ServeModel>& info) {
-      return info.param == serve::ServeModel::kEpoll ? "Epoll" : "ThreadPool";
-    });
-
-// The contract that lets the epoll front end replace the thread pool: for
-// the same service, both produce byte-identical responses — status line,
-// headers, and body.
-TEST(HttpFrontends, ByteIdenticalResponsesAcrossServeModels) {
-  auto engine = std::make_shared<const serve::QueryEngine>(
-      io::Snapshot{shared_snapshot()});
-  serve::AsrelService service{engine};
-  const auto handler = [&service](const serve::HttpRequest& request) {
-    return service.handle(request);
-  };
-
-  serve::HttpServerOptions options;
-  options.port = 0;
-  options.worker_threads = 2;
-  options.serve_model = serve::ServeModel::kThreadPool;
-  serve::HttpServer pool_server{handler, options};
-  options.serve_model = serve::ServeModel::kEpoll;
-  serve::HttpServer epoll_server{handler, options};
-  std::string error;
-  ASSERT_TRUE(pool_server.start(&error)) << error;
-  ASSERT_TRUE(epoll_server.start(&error)) << error;
-
-  TestClient pool_client{pool_server.port()};
-  TestClient epoll_client{epoll_server.port()};
-  ASSERT_TRUE(pool_client.connected());
-  ASSERT_TRUE(epoll_client.connected());
-
-  const auto& edge = shared_snapshot().edges.front();
-  const std::vector<std::string> paths = {
-      "/rel?a=" + std::to_string(edge.a.value()) +
-          "&b=" + std::to_string(edge.b.value()),
-      "/rel?a=1",       // missing b -> 400
-      "/rel?a=x&b=2",   // non-numeric -> 400
-      "/no/such/path",  // 404
-      "/healthz",
-      "/snapshot",
-      "/links?limit=5",
-      "/report/regional",
-  };
-  for (const auto& path : paths) {
-    std::string pool_wire;
-    std::string epoll_wire;
-    const int pool_status = pool_client.get(path, nullptr, &pool_wire);
-    const int epoll_status = epoll_client.get(path, nullptr, &epoll_wire);
-    EXPECT_EQ(pool_status, epoll_status) << path;
-    EXPECT_EQ(pool_wire, epoll_wire) << path;
-  }
-
-  // Unsupported method, same bytes too.
-  const std::string trace = "TRACE / HTTP/1.1\r\nHost: t\r\n\r\n";
-  std::string pool_wire;
-  std::string epoll_wire;
-  EXPECT_EQ(pool_client.request(trace, nullptr, &pool_wire), 405);
-  EXPECT_EQ(epoll_client.request(trace, nullptr, &epoll_wire), 405);
-  EXPECT_EQ(pool_wire, epoll_wire);
-
-  pool_server.stop();
-  epoll_server.stop();
 }
 
 // ----------------------------------------------- flat (v3) query engine

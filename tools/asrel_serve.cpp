@@ -98,7 +98,6 @@ struct Args {
   std::uint64_t seed = 42;
   std::string save;
   std::string save_flat;  ///< also write the flat (v3) image here
-  serve::ServeModel serve_model = serve::ServeModel::kEpoll;
   int port = 8642;
   int threads = 4;
   int timeout_ms = 5000;
@@ -133,7 +132,7 @@ int usage() {
       "              [--timeout-ms MS] [--deadline-ms MS] [--drain-ms MS]\n"
       "              [--max-pending N] [--trace]\n"
       "              [--log-stderr debug|info|warn|error] [--crash-dir DIR]\n"
-      "              [--serve-model epoll|threadpool] [--save-flat FILE]\n"
+      "              [--save-flat FILE]\n"
       "  asrel_serve --flat-snapshot FILE [--port P] [--threads N]\n"
       "  asrel_serve --generate [--as-count N] [--seed S] [--save FILE]\n"
       "              [--save-flat FILE] [--port P] [--threads N]\n"
@@ -176,15 +175,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
       args.flat_snapshot = value;
     } else if (flag == "--save-flat") {
       args.save_flat = value;
-    } else if (flag == "--serve-model") {
-      if (std::string_view{value} == "epoll") {
-        args.serve_model = serve::ServeModel::kEpoll;
-      } else if (std::string_view{value} == "threadpool") {
-        args.serve_model = serve::ServeModel::kThreadPool;
-      } else {
-        std::fprintf(stderr, "unknown serve model: %s\n", value);
-        return std::nullopt;
-      }
     } else if (flag == "--as-count") {
       args.as_count = std::atoi(value);
     } else if (flag == "--seed") {
@@ -540,7 +530,6 @@ int main(int argc, char** argv) {
 
   serve::HttpServerOptions options;
   options.port = static_cast<std::uint16_t>(args->port);
-  options.serve_model = args->serve_model;
   options.worker_threads = args->threads;
   options.request_timeout_ms = args->timeout_ms;
   options.request_deadline_ms = args->deadline_ms;
