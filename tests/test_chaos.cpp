@@ -382,6 +382,10 @@ TEST(Chaos, InjectedRecvSendFaultsAreInvisibleToClients) {
   plan.recv_short_permille = 250;
   plan.send_eintr_permille = 150;
   plan.send_short_permille = 250;
+  // Responses leave through writev; send() only carries shed and drain
+  // 503s, which this test never triggers.
+  plan.writev_eintr_permille = 150;
+  plan.writev_short_permille = 250;
   serve::fault::ScopedFaults faults{plan};
 
   std::string error;
@@ -393,9 +397,13 @@ TEST(Chaos, InjectedRecvSendFaultsAreInvisibleToClients) {
     ASSERT_EQ(client.get("/anything", &body), 200) << "request " << i;
     ASSERT_NE(body.find(payload), std::string::npos) << "request " << i;
   }
+  // Both directions must have been faulted, or the test proves nothing
+  // about the side that was not.
   const auto stats = serve::fault::FaultInjector::instance().stats();
-  EXPECT_GT(stats.recv_faults + stats.send_faults, 0u)
-      << "the run injected nothing — schedule or rates are broken";
+  EXPECT_GT(stats.recv_faults, 0u)
+      << "no recv fault injected — schedule or rates are broken";
+  EXPECT_GT(stats.writev_faults, 0u)
+      << "no writev fault injected — the response side went untested";
   server.stop();
 }
 
