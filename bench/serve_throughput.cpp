@@ -267,11 +267,11 @@ int main() {
   }
 
   t0 = Clock::now();
-  const auto engine =
-      std::make_shared<const serve::QueryEngine>(std::move(*loaded));
-  const double index_ms = ms_since(t0);
-  std::printf("engine index build:    %8.1f ms\n", index_ms);
-  json.field("engine_index_build_ms", index_ms);
+  const auto engine = std::make_shared<const serve::QueryEngine>(*loaded);
+  const double engine_build_ms = ms_since(t0);
+  std::printf("engine build:          %8.1f ms (flat encode + open)\n",
+              engine_build_ms);
+  json.field("engine_build_ms", engine_build_ms);
 
   // ---- in-process point-lookup throughput ----
   const auto sample = engine->sample_links(4096);
@@ -324,10 +324,13 @@ int main() {
   json.field("reports_cached_ms_per_report", cached_ms);
   json.field("report_cache_hit_rate", engine->cache_stats().hit_rate());
 
-  // ---- hot reload: parse + reindex + RCU publish of a fresh epoch ----
+  // ---- hot reload: v2 parse + flat encode + RCU publish of an epoch ----
   const auto hub = std::make_shared<serve::EngineHub>(
-      engine, [&bytes](std::string* reload_error) {
-        return io::parse_snapshot_bytes(bytes, reload_error);
+      engine, [&bytes](std::string* reload_error)
+                  -> std::shared_ptr<const serve::QueryEngine> {
+        const auto next = io::parse_snapshot_bytes(bytes, reload_error);
+        if (!next) return nullptr;
+        return std::make_shared<const serve::QueryEngine>(*next);
       });
   t0 = Clock::now();
   constexpr int kReloads = 3;
@@ -345,7 +348,7 @@ int main() {
   // ---- snapshot v3 (flat): serialize, mmap open, lookups, µs reload ----
   // The reload path opens with deep_verify=false (structural checks only;
   // the atomic-rename producer guarantees a complete file), which is what
-  // turns a reload from a full parse + index build into an mmap.
+  // turns a reload from a full parse + encode into an mmap.
   const std::string flat_path = "/tmp/asrel_serve_bench.v3";
   std::string flat_error;
   t0 = Clock::now();
@@ -382,15 +385,12 @@ int main() {
         static_cast<double>(kLookups) / (ms_since(t0) / 1000.0);
     serve::EngineHub flat_hub{
         flat_engine,
-        serve::EngineHub::EngineLoader{
-            [&flat_path](std::string* reload_error)
-                -> std::shared_ptr<const serve::QueryEngine> {
-              auto view =
-                  io::FlatView::open_file(flat_path, reload_error, false);
-              if (view == nullptr) return nullptr;
-              return std::make_shared<const serve::QueryEngine>(
-                  std::move(view));
-            }}};
+        [&flat_path](std::string* reload_error)
+            -> std::shared_ptr<const serve::QueryEngine> {
+          auto view = io::FlatView::open_file(flat_path, reload_error, false);
+          if (view == nullptr) return nullptr;
+          return std::make_shared<const serve::QueryEngine>(std::move(view));
+        }};
     constexpr int kFlatReloads = 50;
     t0 = Clock::now();
     for (int i = 0; i < kFlatReloads; ++i) {

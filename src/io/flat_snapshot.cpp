@@ -30,8 +30,7 @@ using flat::mix64;
   return cap;
 }
 
-/// Open-addressing insert; keeps the first record for a duplicate key
-/// (matching unordered_map::emplace in the query engine's index build).
+/// Open-addressing insert; keeps the first record for a duplicate key.
 class TableBuilder {
  public:
   explicit TableBuilder(std::size_t n)

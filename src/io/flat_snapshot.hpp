@@ -1,10 +1,10 @@
 // Snapshot v3: a flat, mmap-able image of one snapshot.
 //
 // The v2 codec (io/snapshot) is a streaming format: loading it parses
-// every record into std::vectors and the query engine then builds hash
-// indexes on top — good for evolution, but reload cost grows with the
-// topology. v3 lays the same data out as fixed-width little-endian
-// records with the indexes *precomputed in the file*:
+// every record into std::vectors — good for evolution, but reload cost
+// grows with the topology. v3 lays the same data out as fixed-width
+// little-endian records with the hash indexes *precomputed in the file*,
+// and is the query engine's only representation:
 //
 //   [Header]                 fixed 264 bytes: magic "ASRELFL3", version,
 //                            sizes, meta, counts, section offsets
@@ -275,8 +275,8 @@ class FlatView {
   /// Full deep checksum pass (what open(deep_verify=true) runs).
   [[nodiscard]] bool verify(std::string* error = nullptr) const;
 
-  /// Inflates back into the v2 in-memory Snapshot (for aggregate reports
-  /// and round-trip tests). O(records).
+  /// Inflates back into the v2 in-memory Snapshot. Only the round-trip
+  /// test uses it, to show v3 carries every v2 field. O(records).
   [[nodiscard]] Snapshot to_snapshot() const;
 
  private:

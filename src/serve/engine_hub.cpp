@@ -33,12 +33,8 @@ struct ReloadMetrics {
 }  // namespace
 
 EngineHub::EngineHub(std::shared_ptr<const QueryEngine> initial,
-                     SnapshotLoader loader)
-    : engine_(std::move(initial)), loader_(std::move(loader)) {}
-
-EngineHub::EngineHub(std::shared_ptr<const QueryEngine> initial,
                      EngineLoader loader)
-    : engine_(std::move(initial)), engine_loader_(std::move(loader)) {}
+    : engine_(std::move(initial)), loader_(std::move(loader)) {}
 
 EngineHub::ReloadResult EngineHub::reload() {
   std::lock_guard<std::mutex> lock{reload_mutex_};
@@ -66,28 +62,17 @@ EngineHub::ReloadResult EngineHub::reload() {
     return result;
   };
 
-  std::shared_ptr<const QueryEngine> next;
-  std::string error;
-  if (engine_loader_) {
-    // Flat path: the loader already produced a ready engine (mmap +
-    // validate); nothing left to build before publication.
-    next = engine_loader_(&error);
-    if (next == nullptr) {
-      return fail(error.empty() ? "engine loader failed" : error);
-    }
-  } else if (loader_) {
-    auto snapshot = loader_(&error);
-    if (!snapshot) {
-      return fail(error.empty() ? "snapshot loader failed" : error);
-    }
-    // The expensive part — index building — happens before publication,
-    // on the reloading thread, while every worker keeps serving the old
-    // epoch.
-    next = std::make_shared<const QueryEngine>(std::move(*snapshot));
-  } else {
+  if (!loader_) {
     return fail("no snapshot loader configured (static deployment)");
   }
-  engine_.store(std::move(next), std::memory_order_release);
+  // The loader builds the next engine on the reloading thread, while
+  // every worker keeps serving the old epoch.
+  std::string error;
+  std::shared_ptr<const QueryEngine> next = loader_(&error);
+  if (next == nullptr) {
+    return fail(error.empty() ? "engine loader failed" : error);
+  }
+  engine_.exchange(std::move(next));
   const std::uint64_t epoch =
       epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
 
@@ -108,16 +93,16 @@ EngineHub::ReloadResult EngineHub::reload() {
   return result;
 }
 
-EngineHub::ReloadResult EngineHub::publish(io::Snapshot snapshot) {
+EngineHub::ReloadResult EngineHub::publish(const io::Snapshot& snapshot) {
   std::lock_guard<std::mutex> lock{reload_mutex_};
   auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& publishes_total = registry.counter(
       "asrel_stream_publishes_total",
       "In-memory snapshot publications (streaming epochs)");
-  // Index building happens before the swap, on the publishing thread;
+  // Encoding happens before the swap, on the publishing thread;
   // workers keep serving the previous epoch until the single store below.
-  auto next = std::make_shared<const QueryEngine>(std::move(snapshot));
-  engine_.store(std::move(next), std::memory_order_release);
+  auto next = std::make_shared<const QueryEngine>(snapshot);
+  engine_.exchange(std::move(next));
   const std::uint64_t epoch =
       epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   ++publishes_;

@@ -2,7 +2,7 @@
 //
 // The daemon must swap in a freshly written snapshot (operator SIGHUP or
 // POST /reloadz) without dropping a single in-flight request. The hub
-// owns the current QueryEngine behind an atomic shared_ptr: readers pin
+// owns the current QueryEngine in a locked shared_ptr slot: readers pin
 // one epoch with a single `current()` call and keep serving from that
 // engine even while a reload publishes a successor; the old engine is
 // destroyed when its last in-flight reader drops the reference. Each
@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "io/snapshot.hpp"
@@ -30,30 +29,22 @@ namespace asrel::serve {
 
 class EngineHub {
  public:
-  /// Produces the next snapshot on reload (typically io::load_snapshot_file
-  /// on the daemon's --snapshot path). Returns nullopt + error to abort
-  /// the reload and keep the current epoch live.
-  using SnapshotLoader =
-      std::function<std::optional<io::Snapshot>(std::string* error)>;
-
-  /// Produces the next *engine* on reload — the flat (v3) path: the
-  /// loader mmaps a FlatView and wraps it in a QueryEngine, so a reload
-  /// costs microseconds instead of a full parse + index build. Wins over
-  /// the snapshot loader when both are somehow set.
+  /// Produces the next engine on reload. The daemon's loader mmaps the
+  /// flat file (microseconds); a v2 file loader parses the snapshot and
+  /// wraps it in a QueryEngine. Returns nullptr + error to abort the
+  /// reload and keep the current epoch live.
   using EngineLoader = std::function<std::shared_ptr<const QueryEngine>(
       std::string* error)>;
 
   /// A hub starts at epoch 1 with `initial`; a null loader makes reload()
   /// fail cleanly (static deployments keep working unchanged).
   explicit EngineHub(std::shared_ptr<const QueryEngine> initial,
-                     SnapshotLoader loader = {});
-  explicit EngineHub(std::shared_ptr<const QueryEngine> initial,
-                     EngineLoader loader);
+                     EngineLoader loader = {});
 
   /// The engine for this request. One call per request: the returned
   /// shared_ptr pins the epoch for the request's whole lifetime.
   [[nodiscard]] std::shared_ptr<const QueryEngine> current() const {
-    return engine_.load(std::memory_order_acquire);
+    return engine_.load();
   }
 
   /// Epoch of the currently published engine (starts at 1, +1 per
@@ -73,10 +64,11 @@ class EngineHub {
   ReloadResult reload();
 
   /// Publishes an in-memory snapshot directly (the streaming session's
-  /// path: no file round-trip). Shares the reload mutex, so publishes and
-  /// file reloads serialize against each other; readers pin epochs the
-  /// same way. Always succeeds — the snapshot is already materialized.
-  ReloadResult publish(io::Snapshot snapshot);
+  /// path: no file round-trip; the new engine encodes its own flat
+  /// image). Shares the reload mutex, so publishes and file reloads
+  /// serialize against each other; readers pin epochs the same way.
+  /// Always succeeds — the snapshot is already materialized.
+  ReloadResult publish(const io::Snapshot& snapshot);
 
   // ---- async-signal-safe reload request (SIGHUP) ----
   /// Safe to call from a signal handler: just sets a flag.
@@ -98,9 +90,49 @@ class EngineHub {
   [[nodiscard]] Stats stats() const;
 
  private:
-  std::atomic<std::shared_ptr<const QueryEngine>> engine_;
-  SnapshotLoader loader_;
-  EngineLoader engine_loader_;
+  /// The published engine. A reader copies the shared_ptr under a one-bit
+  /// spin lock held only for that copy; a writer swaps under the same lock
+  /// and frees the old engine after releasing it. This is what
+  /// std::atomic<std::shared_ptr> does, except that libstdc++ 12 releases
+  /// a load's lock with a relaxed RMW: the reader's copy is then not
+  /// ordered before the next swap's write, a data race ThreadSanitizer
+  /// reports under reload-under-load. Here the unlock is a release store.
+  class EngineSlot {
+   public:
+    explicit EngineSlot(std::shared_ptr<const QueryEngine> engine)
+        : engine_(std::move(engine)) {}
+
+    [[nodiscard]] std::shared_ptr<const QueryEngine> load() const {
+      lock();
+      std::shared_ptr<const QueryEngine> engine = engine_;
+      locked_.clear(std::memory_order_release);
+      return engine;
+    }
+
+    /// Publishes `next`; returns the previous engine, so its destructor
+    /// runs outside the lock.
+    std::shared_ptr<const QueryEngine> exchange(
+        std::shared_ptr<const QueryEngine> next) {
+      lock();
+      engine_.swap(next);
+      locked_.clear(std::memory_order_release);
+      return next;
+    }
+
+   private:
+    void lock() const {
+      while (locked_.test_and_set(std::memory_order_acquire)) {
+        while (locked_.test(std::memory_order_relaxed)) {
+        }
+      }
+    }
+
+    mutable std::atomic_flag locked_;
+    std::shared_ptr<const QueryEngine> engine_;
+  };
+
+  EngineSlot engine_;
+  EngineLoader loader_;
   std::atomic<std::uint64_t> epoch_{1};
   std::atomic<bool> reload_requested_{false};
 

@@ -1,7 +1,7 @@
 #include "serve/query_engine.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <stdexcept>
 
 #include "serve/json.hpp"
 
@@ -50,20 +50,35 @@ void append_class_metrics_json(JsonWriter& json,
   json.end_object();
 }
 
+/// Opens the engine's own encoding of `snapshot`. The reader rejecting
+/// the encoder's bytes is a programming error, never bad input.
+std::shared_ptr<const io::FlatView> encode_flat(const io::Snapshot& snapshot) {
+  std::string error;
+  auto view = io::FlatView::from_bytes(io::to_flat_snapshot_bytes(snapshot),
+                                       &error, /*deep_verify=*/false);
+  if (view == nullptr) {
+    throw std::logic_error{"flat snapshot encoder/reader mismatch: " + error};
+  }
+  return view;
+}
+
+val::AsLink link_of(std::uint32_t a, std::uint32_t b) {
+  return val::AsLink{asn::Asn{a}, asn::Asn{b}};
+}
+
+val::CleanLabel clean_label(const io::flat::Label& label) {
+  return val::CleanLabel{
+      .link = link_of(label.a, label.b),
+      .rel = static_cast<topo::RelType>(label.rel),
+      .provider = asn::Asn{label.provider},
+  };
+}
+
 }  // namespace
 
-QueryEngine::QueryEngine(io::Snapshot snapshot, QueryEngineOptions options)
-    : snap_(std::move(snapshot)),
-      options_(options),
-      cache_(options.cache_shards, options.cache_capacity_per_shard),
-      rel_cache_(options.rel_cache_shards,
-                 options.rel_cache_capacity_per_shard) {
-  meta_ = snap_.meta;
-  build_indexes();
-  // Snapshot mode is fully indexed up front; flat mode reuses
-  // inflate_once_ to run the same build lazily.
-  std::call_once(inflate_once_, [] {});
-}
+QueryEngine::QueryEngine(const io::Snapshot& snapshot,
+                         QueryEngineOptions options)
+    : QueryEngine(encode_flat(snapshot), options) {}
 
 QueryEngine::QueryEngine(std::shared_ptr<const io::FlatView> flat,
                          QueryEngineOptions options)
@@ -80,83 +95,10 @@ QueryEngine::QueryEngine(std::shared_ptr<const io::FlatView> flat,
   meta_.built_unix_ms = header.built_unix_ms;
 }
 
-void QueryEngine::ensure_inflated() const {
-  std::call_once(inflate_once_, [this] {
-    snap_ = flat_->to_snapshot();
-    build_indexes();
-  });
-}
-
-const io::Snapshot& QueryEngine::snapshot() const {
-  if (flat_ != nullptr) ensure_inflated();
-  return snap_;
-}
-
-void QueryEngine::build_indexes() const {
-  as_index_.reserve(snap_.ases.size());
-  for (std::uint32_t i = 0; i < snap_.ases.size(); ++i) {
-    as_index_.emplace(snap_.ases[i].asn, i);
-  }
-  as_extra_.resize(snap_.ases.size());
-
-  const auto extra_of = [&](asn::Asn asn) -> AsExtra* {
-    const auto it = as_index_.find(asn);
-    return it == as_index_.end() ? nullptr : &as_extra_[it->second];
-  };
-
-  edge_index_.reserve(snap_.edges.size());
-  for (std::uint32_t i = 0; i < snap_.edges.size(); ++i) {
-    const auto& edge = snap_.edges[i];
-    edge_index_.emplace(val::AsLink{edge.a, edge.b}, i);
-    AsExtra* a = extra_of(edge.a);
-    AsExtra* b = extra_of(edge.b);
-    switch (edge.rel) {
-      case topo::RelType::kP2C:
-        if (a != nullptr) ++a->customers;
-        if (b != nullptr) ++b->providers;
-        break;
-      case topo::RelType::kP2P:
-        if (a != nullptr) ++a->peers;
-        if (b != nullptr) ++b->peers;
-        break;
-      case topo::RelType::kS2S:
-        if (a != nullptr) ++a->siblings;
-        if (b != nullptr) ++b->siblings;
-        break;
-    }
-  }
-
-  link_index_.reserve(snap_.links.size());
-  for (std::uint32_t i = 0; i < snap_.links.size(); ++i) {
-    const auto& tag = snap_.links[i];
-    link_index_.emplace(tag.link, i);
-    if (AsExtra* a = extra_of(tag.link.a)) ++a->observed_links;
-    if (AsExtra* b = extra_of(tag.link.b)) ++b->observed_links;
-  }
-
-  validation_index_.reserve(snap_.validation.size());
-  for (std::uint32_t i = 0; i < snap_.validation.size(); ++i) {
-    const auto& label = snap_.validation[i];
-    validation_index_.emplace(label.link, i);
-    if (AsExtra* a = extra_of(label.link.a)) ++a->validated_links;
-    if (AsExtra* b = extra_of(label.link.b)) ++b->validated_links;
-  }
-
-  verdict_index_.resize(snap_.algorithms.size());
-  for (std::size_t algo = 0; algo < snap_.algorithms.size(); ++algo) {
-    const auto& labels = snap_.algorithms[algo].labels;
-    verdict_index_[algo].reserve(labels.size());
-    for (std::uint32_t i = 0; i < labels.size(); ++i) {
-      verdict_index_[algo].emplace(labels[i].link, i);
-    }
-  }
-}
-
-namespace {
-
-/// Flat-mode rel(): every probe reads the mapped image directly; the
-/// returned string_views point into it (the engine pins the view).
-RelAnswer flat_rel(const io::FlatView& flat, asn::Asn a, asn::Asn b) {
+// Every probe reads the image directly; the returned string_views point
+// into it (the engine pins the view).
+RelAnswer QueryEngine::rel(asn::Asn a, asn::Asn b) const {
+  const io::FlatView& flat = *flat_;
   RelAnswer answer;
   answer.link = val::AsLink{a, b};
   const std::uint32_t qa = a.value();
@@ -211,8 +153,8 @@ RelAnswer flat_rel(const io::FlatView& flat, asn::Asn a, asn::Asn b) {
   return answer;
 }
 
-std::optional<AsSummary> flat_as_summary(const io::FlatView& flat,
-                                         asn::Asn asn) {
+std::optional<AsSummary> QueryEngine::as_summary(asn::Asn asn) const {
+  const io::FlatView& flat = *flat_;
   const std::uint32_t idx = flat.find_as(asn.value());
   if (idx == io::FlatView::npos) return std::nullopt;
   const io::flat::As& as = flat.ases()[idx];
@@ -227,7 +169,7 @@ std::optional<AsSummary> flat_as_summary(const io::FlatView& flat,
   summary.node_degree = as.node_degree;
   summary.cone_size = as.cone_size;
   // Neighbor-role counts come from the CSR row: O(degree) over mapped
-  // memory, same classification as the eager index build.
+  // memory.
   const auto [begin, end] = flat.neighbors(idx);
   const std::uint32_t n_edges = flat.header().n_edges;
   for (const std::uint32_t* it = begin; it != end; ++it) {
@@ -254,80 +196,6 @@ std::optional<AsSummary> flat_as_summary(const io::FlatView& flat,
   return summary;
 }
 
-}  // namespace
-
-RelAnswer QueryEngine::rel(asn::Asn a, asn::Asn b) const {
-  if (flat_ != nullptr) return flat_rel(*flat_, a, b);
-  RelAnswer answer;
-  answer.link = val::AsLink{a, b};
-
-  if (const auto it = edge_index_.find(answer.link);
-      it != edge_index_.end()) {
-    const auto& edge = snap_.edges[it->second];
-    answer.in_graph = true;
-    answer.truth_rel = edge.rel;
-    if (edge.rel == topo::RelType::kP2C) answer.truth_provider = edge.a;
-    answer.scope = edge.scope;
-    answer.scope_via_community = edge.scope_via_community;
-    answer.misdocumented = edge.misdocumented;
-    answer.hybrid_rel = edge.hybrid_rel;
-  }
-
-  if (const auto it = link_index_.find(answer.link);
-      it != link_index_.end()) {
-    const auto& tag = snap_.links[it->second];
-    answer.observed = true;
-    answer.regional_class = snap_.class_names[tag.regional_class];
-    answer.topological_class = snap_.class_names[tag.topological_class];
-  }
-
-  for (std::size_t algo = 0; algo < snap_.algorithms.size(); ++algo) {
-    const auto it = verdict_index_[algo].find(answer.link);
-    if (it == verdict_index_[algo].end()) continue;
-    const auto& label = snap_.algorithms[algo].labels[it->second];
-    answer.verdicts.push_back(RelAnswer::Verdict{
-        .algorithm = snap_.algorithms[algo].name,
-        .rel = label.rel,
-        .provider = label.provider,
-    });
-  }
-
-  if (const auto it = validation_index_.find(answer.link);
-      it != validation_index_.end()) {
-    const auto& label = snap_.validation[it->second];
-    answer.validated = true;
-    answer.validated_rel = label.rel;
-    answer.validated_provider = label.provider;
-  }
-
-  return answer;
-}
-
-std::optional<AsSummary> QueryEngine::as_summary(asn::Asn asn) const {
-  if (flat_ != nullptr) return flat_as_summary(*flat_, asn);
-  const auto it = as_index_.find(asn);
-  if (it == as_index_.end()) return std::nullopt;
-  const auto& as = snap_.ases[it->second];
-  const auto& extra = as_extra_[it->second];
-  AsSummary summary;
-  summary.asn = as.asn;
-  summary.region = as.attrs.region;
-  summary.country = as.attrs.country;
-  summary.tier = as.attrs.tier;
-  summary.stub_kind = as.attrs.stub_kind;
-  summary.hypergiant = as.attrs.hypergiant;
-  summary.transit_degree = as.transit_degree;
-  summary.node_degree = as.node_degree;
-  summary.cone_size = as.cone_size;
-  summary.providers = extra.providers;
-  summary.customers = extra.customers;
-  summary.peers = extra.peers;
-  summary.siblings = extra.siblings;
-  summary.observed_links = extra.observed_links;
-  summary.validated_links = extra.validated_links;
-  return summary;
-}
-
 std::vector<val::AsLink> QueryEngine::sample_links(std::size_t limit) const {
   std::vector<val::AsLink> out;
   const std::size_t count = num_links();
@@ -336,46 +204,52 @@ std::vector<val::AsLink> QueryEngine::sample_links(std::size_t limit) const {
   const std::size_t stride = count / take;
   out.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
-    if (flat_ != nullptr) {
-      const io::flat::LinkTag& tag = flat_->links()[i * stride];
-      out.push_back(val::AsLink{asn::Asn{tag.a}, asn::Asn{tag.b}});
-    } else {
-      out.push_back(snap_.links[i * stride].link);
-    }
+    const io::flat::LinkTag& tag = flat_->links()[i * stride];
+    out.push_back(link_of(tag.a, tag.b));
   }
   return out;
 }
 
-std::size_t QueryEngine::num_ases() const {
-  return flat_ != nullptr ? flat_->header().n_ases : snap_.ases.size();
-}
+std::size_t QueryEngine::num_ases() const { return flat_->header().n_ases; }
 
-std::size_t QueryEngine::num_edges() const {
-  return flat_ != nullptr ? flat_->header().n_edges : snap_.edges.size();
-}
+std::size_t QueryEngine::num_edges() const { return flat_->header().n_edges; }
 
-std::size_t QueryEngine::num_links() const {
-  return flat_ != nullptr ? flat_->header().n_links : snap_.links.size();
-}
+std::size_t QueryEngine::num_links() const { return flat_->header().n_links; }
 
 std::size_t QueryEngine::num_validation() const {
-  return flat_ != nullptr ? flat_->header().n_validation
-                          : snap_.validation.size();
+  return flat_->header().n_validation;
+}
+
+std::string QueryEngine::class_of(const val::AsLink& link,
+                                  bool regional) const {
+  const std::uint32_t i = flat_->find_link(link.a.value(), link.b.value());
+  if (i == io::FlatView::npos) return std::string{kUnknownClass};
+  const io::flat::LinkTag& tag = flat_->links()[i];
+  return std::string{flat_->class_name(regional ? tag.regional_class
+                                                : tag.topological_class)};
+}
+
+std::vector<val::CleanLabel> QueryEngine::validation_labels() const {
+  const std::uint32_t count = flat_->header().n_validation;
+  std::vector<val::CleanLabel> labels;
+  labels.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    labels.push_back(clean_label(flat_->validation()[i]));
+  }
+  return labels;
 }
 
 eval::CoverageReport QueryEngine::coverage(bool regional) const {
-  ensure_inflated();
+  const std::uint32_t count = flat_->header().n_links;
   std::vector<val::AsLink> inferred;
-  inferred.reserve(snap_.links.size());
-  for (const auto& tag : snap_.links) inferred.push_back(tag.link);
-  const auto class_of = [&](const val::AsLink& link) -> std::string {
-    const auto it = link_index_.find(link);
-    if (it == link_index_.end()) return std::string{kUnknownClass};
-    const auto& tag = snap_.links[it->second];
-    return snap_.class_names[regional ? tag.regional_class
-                                      : tag.topological_class];
-  };
-  return eval::coverage_by_class(inferred, snap_.validation, class_of);
+  inferred.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const io::flat::LinkTag& tag = flat_->links()[i];
+    inferred.push_back(link_of(tag.a, tag.b));
+  }
+  return eval::coverage_by_class(
+      inferred, validation_labels(),
+      [&](const val::AsLink& link) { return class_of(link, regional); });
 }
 
 eval::CoverageReport QueryEngine::regional_coverage() const {
@@ -388,31 +262,27 @@ eval::CoverageReport QueryEngine::topological_coverage() const {
 
 std::optional<eval::ValidationTable> QueryEngine::validation_table(
     std::string_view algorithm) const {
-  ensure_inflated();
-  const io::SnapshotAlgorithm* found = nullptr;
-  for (const auto& algo : snap_.algorithms) {
-    if (algo.name == algorithm) {
-      found = &algo;
-      break;
-    }
+  const std::uint32_t algorithms = flat_->header().n_algorithms;
+  std::uint32_t algo = 0;
+  while (algo < algorithms && flat_->algorithm_name(algo) != algorithm) {
+    ++algo;
   }
-  if (found == nullptr) return std::nullopt;
+  if (algo == algorithms) return std::nullopt;
 
+  const io::flat::Algo& entry = flat_->algorithms()[algo];
+  const io::flat::Label* labels = flat_->algo_labels(entry);
   infer::Inference inference;
-  for (const auto& label : found->labels) {
+  for (std::uint64_t i = 0; i < entry.labels_count; ++i) {
+    const val::CleanLabel label = clean_label(labels[i]);
     inference.set(label.link,
                   infer::InferredRel{.rel = label.rel,
                                      .provider = label.provider});
   }
-  const auto pairs = eval::make_eval_pairs(snap_.validation, inference);
+  const auto pairs = eval::make_eval_pairs(validation_labels(), inference);
 
-  const auto class_of = [&](bool regional) {
-    return [this, regional](const val::AsLink& link) -> std::string {
-      const auto it = link_index_.find(link);
-      if (it == link_index_.end()) return std::string{kUnknownClass};
-      const auto& tag = snap_.links[it->second];
-      return snap_.class_names[regional ? tag.regional_class
-                                        : tag.topological_class];
+  const auto classes = [this](bool regional) {
+    return [this, regional](const val::AsLink& link) {
+      return class_of(link, regional);
     };
   };
 
@@ -421,9 +291,9 @@ std::optional<eval::ValidationTable> QueryEngine::validation_table(
   eval::ValidationTable table;
   table.total = eval::compute_class_metrics(pairs, "Total°");
   const auto regional = eval::build_validation_table(
-      pairs, class_of(true), options_.table_min_links);
+      pairs, classes(true), options_.table_min_links);
   const auto topological = eval::build_validation_table(
-      pairs, class_of(false), options_.table_min_links);
+      pairs, classes(false), options_.table_min_links);
   table.rows = regional.rows;
   table.rows.insert(table.rows.end(), topological.rows.begin(),
                     topological.rows.end());
@@ -431,17 +301,12 @@ std::optional<eval::ValidationTable> QueryEngine::validation_table(
 }
 
 std::vector<std::string_view> QueryEngine::algorithm_names() const {
+  const std::uint32_t count = flat_->header().n_algorithms;
   std::vector<std::string_view> names;
-  if (flat_ != nullptr) {
-    const std::uint32_t count = flat_->header().n_algorithms;
-    names.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      names.push_back(flat_->algorithm_name(i));
-    }
-    return names;
+  names.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    names.push_back(flat_->algorithm_name(i));
   }
-  names.reserve(snap_.algorithms.size());
-  for (const auto& algo : snap_.algorithms) names.push_back(algo.name);
   return names;
 }
 

@@ -1,17 +1,18 @@
-// Read-only query engine over one loaded snapshot.
+// Read-only query engine over one flat (v3) snapshot image.
 //
-// Construction builds hash indexes (ASN -> record, link -> ground
-// truth / verdicts / validation / class tags) and per-AS neighbor
-// summaries; afterwards every structure is immutable, so any number of
-// server threads may query concurrently without locks. Aggregate reports
-// (Fig. 1/2 coverage, Tables 1-3) are serialized to JSON once and kept in
-// a sharded LRU cache.
+// The FlatView is the engine's only copy of the served data. Point
+// lookups probe the hash indexes precomputed in the image; the aggregate
+// reports (Fig. 1/2 coverage, Tables 1-3) read its link-tag, validation
+// and algorithm sections. An engine built from an in-memory Snapshot
+// encodes it into v3 bytes it owns; one opened from a file serves the
+// mmap'd view directly. Only the two caches change after construction,
+// so any number of server threads may query concurrently without locks.
+// Reports are serialized to JSON once and kept in a sharded LRU cache.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -90,13 +91,14 @@ struct QueryEngineOptions {
 
 class QueryEngine {
  public:
-  explicit QueryEngine(io::Snapshot snapshot, QueryEngineOptions options = {});
+  /// Encodes `snapshot` into a flat image the engine owns. Throws
+  /// std::logic_error if the reader rejects the encoder's bytes.
+  explicit QueryEngine(const io::Snapshot& snapshot,
+                       QueryEngineOptions options = {});
 
-  /// Flat (v3) mode: point lookups read straight from the mapped image —
-  /// no vectors, no index build, so construction is O(1) and a reload is
-  /// just mmap + validate. The first aggregate-report call lazily
-  /// inflates a v2 Snapshot (and its indexes) from the view; point
-  /// lookups never touch the inflated copy.
+  /// Serves an image opened elsewhere (typically an mmap'd file) without
+  /// copying it, so construction is O(1) and a reload is just mmap +
+  /// validate.
   explicit QueryEngine(std::shared_ptr<const io::FlatView> flat,
                        QueryEngineOptions options = {});
 
@@ -133,48 +135,26 @@ class QueryEngine {
     return rel_cache_.stats();
   }
 
-  /// The in-memory snapshot. Flat mode inflates it on first call — use
-  /// the light accessors below on hot or scrape paths instead.
-  [[nodiscard]] const io::Snapshot& snapshot() const;
-
-  // ---- light accessors (never trigger inflation) ----
+  // ---- light accessors ----
   [[nodiscard]] const io::SnapshotMeta& meta() const { return meta_; }
   [[nodiscard]] std::size_t num_ases() const;
   [[nodiscard]] std::size_t num_edges() const;
   [[nodiscard]] std::size_t num_links() const;
   [[nodiscard]] std::size_t num_validation() const;
   [[nodiscard]] std::vector<std::string_view> algorithm_names() const;
-  [[nodiscard]] bool flat_mode() const { return flat_ != nullptr; }
 
  private:
-  struct AsExtra {
-    std::uint32_t providers = 0, customers = 0, peers = 0, siblings = 0;
-    std::uint32_t observed_links = 0, validated_links = 0;
-  };
-
-  void build_indexes() const;  ///< writes only the mutable index members
-  /// Flat mode: materializes snap_ + indexes exactly once (thread-safe);
-  /// aggregate code then runs unchanged against the inflated copy.
-  void ensure_inflated() const;
+  /// The link's regional or topological class name, "?" if not observed.
+  [[nodiscard]] std::string class_of(const val::AsLink& link,
+                                     bool regional) const;
+  [[nodiscard]] std::vector<val::CleanLabel> validation_labels() const;
   [[nodiscard]] eval::CoverageReport coverage(bool regional) const;
   [[nodiscard]] std::shared_ptr<const std::string> build_report(
       const std::string& key) const;
 
-  std::shared_ptr<const io::FlatView> flat_;  ///< null in snapshot mode
+  std::shared_ptr<const io::FlatView> flat_;
   io::SnapshotMeta meta_;
-  mutable std::once_flag inflate_once_;
-  // Mutable because flat mode fills them lazily under inflate_once_;
-  // snapshot mode builds them in the constructor and never writes again.
-  mutable io::Snapshot snap_;
   QueryEngineOptions options_;
-  mutable std::unordered_map<asn::Asn, std::uint32_t> as_index_;
-  mutable std::unordered_map<val::AsLink, std::uint32_t> edge_index_;
-  mutable std::unordered_map<val::AsLink, std::uint32_t> link_index_;
-  mutable std::unordered_map<val::AsLink, std::uint32_t> validation_index_;
-  /// Per algorithm: link -> label index in that algorithm's table.
-  mutable std::vector<std::unordered_map<val::AsLink, std::uint32_t>>
-      verdict_index_;
-  mutable std::vector<AsExtra> as_extra_;  ///< parallel to snap_.ases
   mutable ShardedLruCache<std::string, std::string> cache_;
   /// Rendered /rel bodies keyed by (min<<32)|max of the pair.
   mutable ShardedLruCache<std::uint64_t, std::string> rel_cache_;

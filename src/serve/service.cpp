@@ -83,8 +83,10 @@ HttpResponse handle_links(const QueryEngine& engine,
                           const HttpRequest& request) {
   std::size_t limit = 256;
   if (const std::string* raw = request.query_param("limit")) {
-    limit = static_cast<std::size_t>(std::strtoull(raw->c_str(), nullptr, 10));
-    if (limit == 0 || limit > 100000) {
+    // Strict, like parse_asn: "5x" is a bad request, not five links.
+    const char* end = raw->data() + raw->size();
+    const auto [ptr, ec] = std::from_chars(raw->data(), end, limit);
+    if (ec != std::errc{} || ptr != end || limit == 0 || limit > 100000) {
       return bad_request("limit must be in [1, 100000]");
     }
   }
@@ -119,8 +121,8 @@ HttpResponse handle_reload(EngineHub& hub) {
 }
 
 HttpResponse handle_snapshot_info(const QueryEngine& engine) {
-  // Light accessors only: in flat (v3) mode this route must not force
-  // the engine to inflate a full in-memory snapshot.
+  // Header counts and meta only: a cheap route that never touches the
+  // record sections.
   const io::SnapshotMeta& meta = engine.meta();
   JsonWriter json;
   json.begin_object();

@@ -37,9 +37,9 @@ std::string snapshot_digest_json(std::string_view flat_bytes) {
 
 std::vector<GoldenReport> build_golden_reports(
     const core::Scenario& scenario) {
-  io::Snapshot snapshot = core::build_snapshot(scenario);
+  const io::Snapshot snapshot = core::build_snapshot(scenario);
   const std::string flat = io::to_flat_snapshot_bytes(snapshot);
-  const serve::QueryEngine engine{std::move(snapshot)};
+  const serve::QueryEngine engine{snapshot};
 
   const auto report = [&](const char* filename, const std::string& key) {
     const auto json = engine.report_json(key);
@@ -179,10 +179,10 @@ class TranscriptClient {
 }  // namespace
 
 std::string wire_transcript(const core::Scenario& scenario) {
-  io::Snapshot snapshot = core::build_snapshot(scenario);
+  const io::Snapshot snapshot = core::build_snapshot(scenario);
   const std::vector<WireStep> script = wire_script(snapshot.edges.front());
   const serve::AsrelService service{
-      std::make_shared<const serve::QueryEngine>(std::move(snapshot))};
+      std::make_shared<const serve::QueryEngine>(snapshot)};
 
   serve::HttpServerOptions options;
   options.port = 0;

@@ -245,9 +245,12 @@ TEST(Chaos, TornSnapshotWritesNeverCorruptTheServedFile) {
   // serving and the error is recorded; once the fault clears, the next
   // reload succeeds.
   serve::EngineHub hub{
-      std::make_shared<const serve::QueryEngine>(io::Snapshot{snapshot}),
-      [path](std::string* load_error) {
-        return io::load_snapshot_file(path, load_error);
+      std::make_shared<const serve::QueryEngine>(snapshot),
+      [path](std::string* load_error)
+          -> std::shared_ptr<const serve::QueryEngine> {
+        const auto next = io::load_snapshot_file(path, load_error);
+        if (!next) return nullptr;
+        return std::make_shared<const serve::QueryEngine>(*next);
       }};
   EXPECT_EQ(hub.epoch(), 1u);
   {
@@ -277,9 +280,11 @@ TEST(Chaos, ReloadUnderLoadLosesZeroRequests) {
   const io::Snapshot& snapshot = chaos_snapshot();
   const std::string bytes = io::to_snapshot_bytes(snapshot);
   const auto hub = std::make_shared<serve::EngineHub>(
-      std::make_shared<const serve::QueryEngine>(io::Snapshot{snapshot}),
-      [bytes](std::string* error) {
-        return io::parse_snapshot_bytes(bytes, error);
+      std::make_shared<const serve::QueryEngine>(snapshot),
+      [bytes](std::string* error) -> std::shared_ptr<const serve::QueryEngine> {
+        const auto next = io::parse_snapshot_bytes(bytes, error);
+        if (!next) return nullptr;
+        return std::make_shared<const serve::QueryEngine>(*next);
       });
   serve::AsrelService service{hub};
 

@@ -283,8 +283,8 @@ TEST(Stream, TornPublicationNeverRegressesTheServedEpoch) {
   auto params = stream_params(1);
   stream::StreamSession session{params};
 
-  serve::EngineHub hub{std::make_shared<const serve::QueryEngine>(
-      io::Snapshot{session.snapshot()})};
+  serve::EngineHub hub{
+      std::make_shared<const serve::QueryEngine>(session.snapshot())};
   ASSERT_EQ(hub.epoch(), 1u);
 
   const auto events = stream::generate_churn(session.world(), 5, 30);
@@ -314,13 +314,13 @@ TEST(Stream, TornPublicationNeverRegressesTheServedEpoch) {
 
     // ...and the in-memory swap is atomic: the served epoch only moves
     // forward, and the engine it exposes parses as the published bytes.
-    const auto result = hub.publish(io::Snapshot{next});
+    const auto result = hub.publish(next);
     ASSERT_TRUE(result.ok);
     EXPECT_GT(result.epoch, last_epoch);
     last_epoch = result.epoch;
     const auto engine = hub.current();
     ASSERT_NE(engine, nullptr);
-    EXPECT_EQ(engine->snapshot().meta.epoch, next.meta.epoch);
+    EXPECT_EQ(engine->meta().epoch, next.meta.epoch);
 
     // Once the fault clears, the durable write catches up.
     ASSERT_TRUE(io::save_snapshot_file(next, path, &error)) << error;

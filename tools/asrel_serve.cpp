@@ -6,7 +6,7 @@
 //   asrel_serve --flat-snapshot FILE [--port P] [--threads N]
 //       Serve a flat (v3) snapshot by mmap: open is microseconds, point
 //       lookups read the mapped image directly, and SIGHUP / POST
-//       /reloadz swap epochs without a parse or index build. Produce the
+//       /reloadz swap epochs without a parse or re-encode. Produce the
 //       file with --save-flat.
 //
 //   asrel_serve --generate [--as-count N] [--seed S] [--save FILE]
@@ -438,7 +438,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "saved snapshot to %s\n", args->save.c_str());
     }
   } else if (!args->flat_snapshot.empty()) {
-    // Handled below: the flat image never inflates into `snapshot`.
+    // Handled below: the mmap'd image is served as is.
   } else {
     const auto started = std::chrono::steady_clock::now();
     std::string error;
@@ -455,10 +455,16 @@ int main(int argc, char** argv) {
                  static_cast<long long>(elapsed.count()));
   }
 
-  const bool flat_mode = !args->flat_snapshot.empty();
+  // Reloads re-read the file the daemon serves from: the mmap'd image
+  // with --flat-snapshot, --snapshot when loading, --save when
+  // generating. Without a path, reloads fail closed.
+  const std::string reload_path = !args->flat_snapshot.empty()
+                                      ? args->flat_snapshot
+                                  : !args->snapshot.empty() ? args->snapshot
+                                                            : args->save;
   std::shared_ptr<const serve::QueryEngine> initial_engine;
-  serve::EngineHub::EngineLoader engine_loader;
-  if (flat_mode) {
+  serve::EngineHub::EngineLoader loader;
+  if (!args->flat_snapshot.empty()) {
     const auto started = std::chrono::steady_clock::now();
     std::string error;
     // First open deep-verifies the checksum; reloads trust the atomic
@@ -475,23 +481,14 @@ int main(int argc, char** argv) {
         std::chrono::steady_clock::now() - started);
     std::fprintf(stderr, "mapped flat snapshot in %lld us\n",
                  static_cast<long long>(elapsed.count()));
-    const std::string path = args->flat_snapshot;
-    engine_loader =
-        [path](std::string* error) -> std::shared_ptr<const serve::QueryEngine> {
+    loader = [reload_path](std::string* error)
+        -> std::shared_ptr<const serve::QueryEngine> {
       const auto next =
-          io::FlatView::open_file(path, error, /*deep_verify=*/false);
+          io::FlatView::open_file(reload_path, error, /*deep_verify=*/false);
       if (next == nullptr) return nullptr;
       return std::make_shared<const serve::QueryEngine>(next);
     };
-    std::fprintf(
-        stderr, "snapshot: %zu ASes, %zu edges, %zu links, %zu labels\n",
-        initial_engine->num_ases(), initial_engine->num_edges(),
-        initial_engine->num_links(), initial_engine->num_validation());
   } else {
-    std::fprintf(
-        stderr, "snapshot: %zu ASes, %zu edges, %zu links, %zu labels\n",
-        snapshot.ases.size(), snapshot.edges.size(), snapshot.links.size(),
-        snapshot.validation.size());
     if (!args->save_flat.empty()) {
       std::string error;
       if (!io::save_flat_snapshot_file(snapshot, args->save_flat, &error)) {
@@ -501,27 +498,23 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "saved flat snapshot to %s\n",
                    args->save_flat.c_str());
     }
-    initial_engine =
-        std::make_shared<const serve::QueryEngine>(std::move(snapshot));
+    initial_engine = std::make_shared<const serve::QueryEngine>(snapshot);
+    snapshot = {};  // the engine serves its own flat copy
+    if (!reload_path.empty()) {
+      loader = [reload_path](std::string* error)
+          -> std::shared_ptr<const serve::QueryEngine> {
+        const auto next = io::load_snapshot_file(reload_path, error);
+        if (!next) return nullptr;
+        return std::make_shared<const serve::QueryEngine>(*next);
+      };
+    }
   }
-
-  // Reloads re-read the file the daemon serves from: --snapshot when
-  // loading, --save when generating, the mmap'd image in flat mode.
-  // Without a path, reloads fail closed.
-  const std::string reload_path = flat_mode ? args->flat_snapshot
-                                  : !args->snapshot.empty() ? args->snapshot
-                                                            : args->save;
-  serve::EngineHub::SnapshotLoader loader;
-  if (!flat_mode && !reload_path.empty()) {
-    loader = [reload_path](std::string* error) {
-      return io::load_snapshot_file(reload_path, error);
-    };
-  }
-  const auto hub =
-      flat_mode ? std::make_shared<serve::EngineHub>(
-                      std::move(initial_engine), std::move(engine_loader))
-                : std::make_shared<serve::EngineHub>(
-                      std::move(initial_engine), std::move(loader));
+  std::fprintf(stderr,
+               "snapshot: %zu ASes, %zu edges, %zu links, %zu labels\n",
+               initial_engine->num_ases(), initial_engine->num_edges(),
+               initial_engine->num_links(), initial_engine->num_validation());
+  const auto hub = std::make_shared<serve::EngineHub>(
+      std::move(initial_engine), std::move(loader));
   serve::AsrelService service{hub};
   if (live) {
     service.set_stream_stats(
@@ -702,7 +695,7 @@ int main(int argc, char** argv) {
                        save_error.c_str());
         }
       }
-      const auto result = hub->publish(io::Snapshot{published});
+      const auto result = hub->publish(published);
       std::fprintf(
           stderr,
           "stream: epoch %llu published (%llu/%zu events, "
@@ -725,7 +718,7 @@ int main(int argc, char** argv) {
                        report.healed ? "healed, republishing"
                                      : "NOT healed");
           if (report.healed) {
-            hub->publish(io::Snapshot{session->snapshot()});
+            hub->publish(session->snapshot());
             if (!args->save.empty()) {
               std::string save_error;
               if (!io::save_snapshot_file(session->snapshot(), args->save,
