@@ -54,7 +54,7 @@ CaseStudyReport run_case_study(const Scenario& scenario,
       const auto path = observed.path(p);
       for (std::size_t i = 0; i + 2 < path.size(); ++i) {
         if (path[i + 1] != *tier1 || in_clique[path[i]] == 0) continue;
-        const infer::LinkId id = observed.link_id(path[i + 1], path[i + 2]);
+        const infer::LinkId id = observed.path_slots(p)[i + 1] / 2;
         if (target_state[id] != 0) target_state[id] = 2;
       }
     }

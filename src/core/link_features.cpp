@@ -49,9 +49,10 @@ LinkFeatureExtractor::LinkFeatureExtractor(const Scenario& scenario,
 
   for (std::size_t p = 0; p < observed.path_count(); ++p) {
     const auto path = observed.path(p);
+    const auto slots = observed.path_slots(p);
     const infer::AsIndex origin = path.back();
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      auto& a = acc[observed.link_id(path[i], path[i + 1])];
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      auto& a = acc[slots[i] / 2];
       for (std::size_t j = 0; j < i; ++j) insert_unique(a.left, path[j]);
       for (std::size_t j = i + 2; j < path.size(); ++j) {
         insert_unique(a.right, path[j]);

@@ -1,7 +1,6 @@
 #include "infer/asrank.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <ranges>
 
@@ -13,22 +12,9 @@ namespace {
 
 using asn::Asn;
 
-/// Slot of a directed link traversal in the per-run vote vectors:
-/// 2 * link for link.a -> link.b (ascending index), 2 * link + 1 reversed.
-std::uint32_t directed_slot(LinkId link, AsIndex from, AsIndex to) {
-  return 2 * link + (from < to ? 0 : 1);
-}
-
-/// Hop pairs of a path: the number of slots it owns in a run.
-std::size_t pair_count(std::span<const AsIndex> path) {
-  return path.empty() ? 0 : path.size() - 1;
-}
-
 /// `path_ids` is a range of path indices: a span for subset runs, an iota
-/// view for the full run (so the full run allocates no id list). `Slot`
-/// is the width of the per-hop slot vector, the run's one per-hop
-/// allocation and its largest (see run_sized).
-template <typename Slot, typename PathIds>
+/// view for the full run (so the full run allocates no id list).
+template <typename PathIds>
 AsRankResult run_impl(const ObservedPaths& observed,
                       const AsRankParams& params, const PathIds& path_ids,
                       std::span<const asn::Asn> clique_override,
@@ -42,22 +28,6 @@ AsRankResult run_impl(const ObservedPaths& observed,
   std::vector<std::uint8_t> in_clique(observed.as_count(), 0);
   for (const Asn member : result.clique) {
     if (const auto index = observed.index_of(member)) in_clique[*index] = 1;
-  }
-
-  // The directed slot of every hop of this run's paths, looked up once, in
-  // path_ids order; sweeps walk it with a cursor alongside the paths.
-  std::size_t hop_pairs = 0;
-  for (const std::uint32_t p : path_ids) {
-    hop_pairs += pair_count(observed.path(p));
-  }
-  std::vector<Slot> slots;
-  slots.reserve(hop_pairs);
-  for (const std::uint32_t p : path_ids) {
-    const auto path = observed.path(p);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      slots.push_back(static_cast<Slot>(directed_slot(
-          observed.link_id(path[i], path[i + 1]), path[i], path[i + 1])));
-    }
   }
 
   // Directed provider->customer evidence, indexed by directed slot.
@@ -85,9 +55,9 @@ AsRankResult run_impl(const ObservedPaths& observed,
   // and self-consistent — early sweeps can contain transient bad triggers).
   const auto descent_pass = [&](bool record) {
     const std::size_t before = inferred_count;
-    const Slot* hop_slot = slots.data();
     for (const std::uint32_t p : path_ids) {
       const auto path = observed.path(p);
+      const auto hop_slot = observed.path_slots(p);
       bool descending = false;
       for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         const AsIndex x = path[i];
@@ -113,7 +83,6 @@ AsRankResult run_impl(const ObservedPaths& observed,
           descending = true;  // known descent continues after this pair
         }
       }
-      hop_slot += pair_count(path);
     }
     return inferred_count != before;
   };
@@ -131,11 +100,8 @@ AsRankResult run_impl(const ObservedPaths& observed,
   // ---- Step 5: dominant peaks of clique-free paths -----------------------
   {
     bool seeded = false;
-    const Slot* hop_slot = slots.data();
     for (const std::uint32_t p : path_ids) {
       const auto path = observed.path(p);
-      const Slot* path_slots = hop_slot;
-      hop_slot += pair_count(path);
       if (path.size() < 3) continue;
       if (std::any_of(path.begin(), path.end(),
                       [&](AsIndex hop) { return in_clique[hop] != 0; })) {
@@ -162,7 +128,7 @@ AsRankResult run_impl(const ObservedPaths& observed,
       // collectors; a peering link is only seen from inside the peak's
       // customer cone. Without this, IXP peers of regional transits would
       // be swallowed as customers.
-      const std::uint32_t slot = path_slots[peak];
+      const std::uint32_t slot = observed.path_slots(p)[peak];
       if (static_cast<double>(observed.link_vp_count(slot / 2)) <
           widely_seen_vps) {
         continue;
@@ -221,10 +187,12 @@ AsRankResult run_impl(const ObservedPaths& observed,
   std::vector<LinkId> scope;
   if (subset_mode) {
     std::vector<std::uint8_t> seen(observed.link_count(), 0);
-    for (const std::uint32_t slot : slots) {
-      if (seen[slot / 2] == 0) {
-        seen[slot / 2] = 1;
-        scope.push_back(slot / 2);
+    for (const std::uint32_t p : path_ids) {
+      for (const std::uint32_t slot : observed.path_slots(p)) {
+        if (seen[slot / 2] == 0) {
+          seen[slot / 2] = 1;
+          scope.push_back(slot / 2);
+        }
       }
     }
   } else {
@@ -282,24 +250,6 @@ AsRankResult run_impl(const ObservedPaths& observed,
   return result;
 }
 
-/// Runs with 16-bit slots whenever every directed slot fits (up to 32,768
-/// links; the 4000-AS world has 11,868) and with 32-bit slots otherwise.
-/// The slot vector is a run's largest allocation; on the 4000-AS world
-/// the 16-bit slots take about 10 MiB off the batch build's peak RSS.
-template <typename PathIds>
-AsRankResult run_sized(const ObservedPaths& observed,
-                       const AsRankParams& params, const PathIds& path_ids,
-                       std::span<const asn::Asn> clique_override,
-                       bool subset_mode) {
-  if (2 * observed.link_count() <=
-      std::size_t{std::numeric_limits<std::uint16_t>::max()} + 1) {
-    return run_impl<std::uint16_t>(observed, params, path_ids,
-                                   clique_override, subset_mode);
-  }
-  return run_impl<std::uint32_t>(observed, params, path_ids, clique_override,
-                                 subset_mode);
-}
-
 }  // namespace
 
 AsRankResult run_asrank(const ObservedPaths& observed,
@@ -307,15 +257,15 @@ AsRankResult run_asrank(const ObservedPaths& observed,
   obs::StageScope stage{"infer.asrank"};
   const auto all = std::views::iota(
       std::uint32_t{0}, static_cast<std::uint32_t>(observed.path_count()));
-  return run_sized(observed, params, all, {}, /*subset_mode=*/false);
+  return run_impl(observed, params, all, {}, /*subset_mode=*/false);
 }
 
 AsRankResult run_asrank_subset(const ObservedPaths& observed,
                                const AsRankParams& params,
                                std::span<const std::uint32_t> path_ids,
                                std::span<const asn::Asn> clique_override) {
-  return run_sized(observed, params, path_ids, clique_override,
-                   /*subset_mode=*/true);
+  return run_impl(observed, params, path_ids, clique_override,
+                  /*subset_mode=*/true);
 }
 
 }  // namespace asrel::infer

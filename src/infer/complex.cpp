@@ -29,14 +29,15 @@ std::vector<ComplexCandidate> detect_complex_relationships(
   // Indexed by LinkId; `touched` marks links that gathered any evidence.
   std::vector<Evidence> evidence(observed.link_count());
   std::vector<std::uint8_t> touched(observed.link_count(), 0);
-  const auto entry_of = [&](AsIndex x, AsIndex y) -> Evidence& {
-    const LinkId id = observed.link_id(x, y);
+  const auto entry_of = [&](std::uint32_t slot) -> Evidence& {
+    const LinkId id = slot / 2;
     touched[id] = 1;
     return evidence[id];
   };
 
   for (std::size_t p = 0; p < observed.path_count(); ++p) {
     const auto path = observed.path(p);
+    const auto slots = observed.path_slots(p);
     if (path.size() < 2) continue;
 
     bool touches_clique = false;
@@ -49,7 +50,7 @@ std::vector<ComplexCandidate> detect_complex_relationships(
       if (x_clique) touches_clique = true;
       // Index order is ASN order: x < y means x is link.a.
       if (descending) {
-        auto& entry = entry_of(x, y);
+        auto& entry = entry_of(slots[i]);
         (x < y) ? ++entry.descent_xy : ++entry.descent_yx;
       }
       if (x_clique && y_clique) {
@@ -57,7 +58,7 @@ std::vector<ComplexCandidate> detect_complex_relationships(
         continue;
       }
       if (x_clique) {
-        auto& entry = entry_of(x, y);
+        auto& entry = entry_of(slots[i]);
         (x < y) ? ++entry.after_clique_member_xy
                 : ++entry.after_clique_member_yx;
       }
@@ -79,7 +80,7 @@ std::vector<ComplexCandidate> detect_complex_relationships(
         }
       }
       if (best > 0 && best + 2 < path.size()) {
-        ++entry_of(path[best], path[best + 1]).peak;
+        ++entry_of(slots[best]).peak;
       }
     }
   }

@@ -8,15 +8,13 @@ namespace asrel::infer {
 
 Inference run_gao(const ObservedPaths& observed, const GaoParams& params) {
   // Votes per directed link: 2 * link for link.a providing link.b,
-  // 2 * link + 1 for the reverse.
+  // 2 * link + 1 for the reverse: a hop's slot is the vote for its left
+  // end providing its right end, and slot ^ 1 the vote for the reverse.
   std::vector<std::uint32_t> votes(2 * observed.link_count(), 0);
-  const auto vote = [&](AsIndex provider, AsIndex customer) {
-    const LinkId link = observed.link_id(provider, customer);
-    ++votes[2 * link + (provider < customer ? 0 : 1)];
-  };
 
   for (std::size_t p = 0; p < observed.path_count(); ++p) {
     const auto path = observed.path(p);
+    const auto slots = observed.path_slots(p);
     if (path.size() < 2) continue;
     // Top of the hill: highest node degree.
     std::size_t top = 0;
@@ -29,11 +27,11 @@ Inference run_gao(const ObservedPaths& observed, const GaoParams& params) {
       }
     }
     // Left of the top the path ascends, right of it it descends.
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
       if (i + 1 <= top) {
-        vote(path[i + 1], path[i]);  // right provides left
+        ++votes[slots[i] ^ 1];  // right provides left
       } else {
-        vote(path[i], path[i + 1]);  // left provides right
+        ++votes[slots[i]];  // left provides right
       }
     }
   }

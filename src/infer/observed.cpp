@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace asrel::infer {
 
@@ -73,10 +76,15 @@ class FlatMap {
 
 ObservedPaths ObservedPaths::build(const bgp::PathTable& table,
                                    SanitizeStats* stats) {
+  const auto vps = table.vantage_points();
+  if (vps.size() > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::invalid_argument(
+        "ObservedPaths: " + std::to_string(vps.size()) +
+        " vantage points; at most 65535 fit the 16-bit VP numbers");
+  }
   ObservedPaths out;
   SanitizeStats local;
 
-  const auto vps = table.vantage_points();
   out.vp_asns_.reserve(vps.size());
   for (const auto& vp : vps) out.vp_asns_.push_back(vp.asn);
   out.origins_per_vp_.assign(vps.size(), 0);
@@ -161,15 +169,18 @@ ObservedPaths ObservedPaths::build(const bgp::PathTable& table,
   }
   for (AsIndex& hop : out.arena_) hop = final_index[hop];
 
-  // Pass 2: links in first-occurrence order, with occurrences, a VP bitset
-  // and, per endpoint, whether that endpoint was seen mid-path on the link
-  // (bit 0 for the lower index, bit 1 for the higher).
+  // Pass 2: links in first-occurrence order, with each hop's directed slot,
+  // occurrences, a VP bitset and, per endpoint, whether that endpoint was
+  // seen mid-path on the link (bit 0 for the lower index, bit 1 for the
+  // higher).
+  out.slots_.assign(out.arena_.size(), 0);
   const std::size_t words = (vps.size() + 63) / 64;
   FlatMap link_index(n * 4);
   std::vector<std::uint64_t> link_vps;
   std::vector<std::uint8_t> transit_end;
   for (std::size_t p = 0; p < out.path_count(); ++p) {
     const auto path = out.path(p);
+    std::uint32_t* slot = out.slots_.data() + out.offsets_[p];
     const std::uint16_t vp = out.path_vp_[p];
     const std::size_t vp_word = vp / 64;
     const std::uint64_t vp_bit = std::uint64_t{1} << (vp % 64);
@@ -188,6 +199,7 @@ ObservedPaths ObservedPaths::build(const bgp::PathTable& table,
         link_vps.resize(link_vps.size() + words);
         transit_end.push_back(0);
       }
+      slot[i] = directed_slot(id, path[i], path[i + 1]);
       ++out.link_occurrences_[id];
       link_vps[id * words + vp_word] |= vp_bit;
       if (previous_link != kNoLink) {

@@ -9,6 +9,12 @@
 // stored as AsIndex hops. Links are numbered 0..link_count() in the order
 // they first occur over the paths, and each AS carries a neighbor list
 // (sorted by AsIndex) that maps an (AsIndex, AsIndex) pair to its LinkId.
+//
+// The build resolves every hop's link once and keeps it: path_slots(p)
+// holds, per hop pair of path p, the directed slot 2 * LinkId when the hop
+// runs link.a -> link.b and 2 * LinkId + 1 when it runs b -> a. Path
+// sweeps read these instead of calling link_id per hop; link_id is for
+// pairs that are not hops of an observed path.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +46,12 @@ inline constexpr AsIndex kNoAs = ~AsIndex{0};
 using LinkId = std::uint32_t;
 inline constexpr LinkId kNoLink = ~LinkId{0};
 
+/// Directed slot of a hop from `from` to `to` across `link`: 2 * link when
+/// it runs link.a -> link.b (ascending index), 2 * link + 1 when reversed.
+inline std::uint32_t directed_slot(LinkId link, AsIndex from, AsIndex to) {
+  return 2 * link + (from < to ? 0 : 1);
+}
+
 /// One entry of an AS's neighbor list.
 struct Adjacency {
   AsIndex neighbor = kNoAs;
@@ -58,6 +70,8 @@ class ObservedPaths {
   ///  * prepending collapsed,
   ///  * paths with loops (non-consecutive repeats) dropped,
   ///  * paths containing reserved ASNs or AS_TRANS dropped.
+  /// Throws std::invalid_argument when the table has more than 65,535
+  /// vantage points: VP numbers are stored in 16 bits.
   [[nodiscard]] static ObservedPaths build(const bgp::PathTable& table,
                                            SanitizeStats* stats = nullptr);
 
@@ -67,6 +81,13 @@ class ObservedPaths {
   [[nodiscard]] std::span<const AsIndex> path(std::size_t i) const {
     return std::span{arena_}.subspan(offsets_[i],
                                      offsets_[i + 1] - offsets_[i]);
+  }
+  /// directed_slot of each hop of path `i`: max(size - 1, 0) entries,
+  /// entry k for the hop path(i)[k] -> path(i)[k + 1].
+  [[nodiscard]] std::span<const std::uint32_t> path_slots(
+      std::size_t i) const {
+    const std::uint32_t size = offsets_[i + 1] - offsets_[i];
+    return std::span{slots_}.subspan(offsets_[i], size == 0 ? 0 : size - 1);
   }
   [[nodiscard]] std::uint16_t vp_of_path(std::size_t i) const {
     return path_vp_[i];
@@ -137,6 +158,8 @@ class ObservedPaths {
 
  private:
   std::vector<AsIndex> arena_;
+  // Directed hop slots, parallel to arena_; each path's last entry unused.
+  std::vector<std::uint32_t> slots_;
   std::vector<std::uint32_t> offsets_{0};
   std::vector<std::uint16_t> path_vp_;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 
 #include "core/parallel.hpp"
@@ -76,132 +75,119 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
     if (const auto index = observed.index_of(member)) in_clique[*index] = 1;
   }
 
-  // Distance to clique and position statistics, one path sweep.
-  std::vector<int> clique_distance(link_count, 3);  // 3 == "3+/none"
-  std::vector<std::uint32_t> end_occurrences(link_count, 0);
-  std::vector<std::uint32_t> total_occurrences(link_count, 0);
-
-  // Triplet-context adjacency: for every (predecessor link, this link,
-  // orientation) pair, how often it occurs. Orientation 0 = traversed a->b.
-  struct AdjKey {
-    std::uint32_t prev;
-    std::uint32_t cur;
-    std::uint8_t prev_forward;  // predecessor traversed in canonical order?
-    std::uint8_t cur_forward;
-    bool operator==(const AdjKey&) const = default;
+  // Path sweeps run over contiguous chunks of paths, one per worker. Every
+  // tally is an integer sum or minimum over hops, and partials merge in
+  // chunk order, so the result is the same at any thread count.
+  const std::size_t path_count = observed.path_count();
+  const std::size_t chunks = threads;
+  const auto for_each_chunk_path = [&](std::size_t chunk, auto&& fn) {
+    const std::size_t end = (chunk + 1) * path_count / chunks;
+    for (std::size_t p = chunk * path_count / chunks; p < end; ++p) fn(p);
   };
-  struct AdjKeyHash {
-    std::size_t operator()(const AdjKey& k) const {
-      std::uint64_t x = (std::uint64_t{k.prev} << 32) | k.cur;
-      x ^= (std::uint64_t{k.prev_forward} << 1 | k.cur_forward) << 62;
-      x *= 0x9E3779B97F4A7C15ull;
-      return static_cast<std::size_t>(x ^ (x >> 32));
-    }
+
+  // Distance to clique and origin-side occurrences, one path sweep.
+  struct PathStats {
+    std::vector<std::uint8_t> clique_distance;  // 3 == "3+/none"
+    std::vector<std::uint32_t> end_occurrences;
   };
-  std::unordered_map<AdjKey, std::uint32_t, AdjKeyHash> adjacency;
-
-  for (std::size_t p = 0; p < observed.path_count(); ++p) {
-    const auto path = observed.path(p);
-    int last_clique = -1;
-    std::uint32_t prev_id = ~std::uint32_t{0};
-    std::uint8_t prev_forward = 0;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      if (in_clique[path[i]] != 0) last_clique = static_cast<int>(i);
-      const LinkId id = observed.link_id(path[i], path[i + 1]);
-      // Index order is ASN order: ascending hops run link.a -> link.b.
-      const std::uint8_t forward = path[i] < path[i + 1] ? 1 : 0;
-
-      ++total_occurrences[id];
-      if (i + 2 == path.size()) ++end_occurrences[id];
-      const int distance =
-          last_clique < 0 ? 3
-                          : std::min(3, static_cast<int>(i) - last_clique);
-      clique_distance[id] = std::min(clique_distance[id], distance);
-
-      if (prev_id != ~std::uint32_t{0}) {
-        ++adjacency[AdjKey{prev_id, id, prev_forward, forward}];
-      }
-      prev_id = id;
-      prev_forward = forward;
-    }
-  }
-
-  // Flattened adjacency for the per-round refresh: contiguous slices chunk
-  // across workers, and because the per-(link, orientation) tallies are
-  // plain integer sums, no chunking choice can change the totals.
-  const std::vector<std::pair<AdjKey, std::uint32_t>> adjacency_flat(
-      adjacency.begin(), adjacency.end());
+  const auto fresh_stats = [&] {
+    return PathStats{std::vector<std::uint8_t>(link_count, 3),
+                     std::vector<std::uint32_t>(link_count, 0)};
+  };
+  const PathStats stats = core::parallel_reduce_ordered(
+      pool, chunks, threads, fresh_stats(),
+      [&](std::size_t chunk) {
+        PathStats local = fresh_stats();
+        for_each_chunk_path(chunk, [&](std::size_t p) {
+          const auto path = observed.path(p);
+          const auto slots = observed.path_slots(p);
+          int last_clique = -1;
+          for (std::size_t i = 0; i < slots.size(); ++i) {
+            if (in_clique[path[i]] != 0) last_clique = static_cast<int>(i);
+            const LinkId id = slots[i] / 2;
+            if (i + 1 == slots.size()) ++local.end_occurrences[id];
+            const int distance =
+                last_clique < 0
+                    ? 3
+                    : std::min(3, static_cast<int>(i) - last_clique);
+            local.clique_distance[id] = static_cast<std::uint8_t>(
+                std::min<int>(local.clique_distance[id], distance));
+          }
+        });
+        return local;
+      },
+      [&](PathStats& acc, PathStats&& partial) {
+        for (LinkId i = 0; i < link_count; ++i) {
+          acc.clique_distance[i] =
+              std::min(acc.clique_distance[i], partial.clique_distance[i]);
+          acc.end_occurrences[i] += partial.end_occurrences[i];
+        }
+      });
 
   // Assemble static feature parts.
   std::vector<LinkFeatures> features(link_count);
   for (LinkId i = 0; i < link_count; ++i) {
-    features[i].value[1] = clique_distance[i];
+    features[i].value[1] = stats.clique_distance[i];
     features[i].value[2] = bucket_visibility(observed.link_vp_count(i));
     const auto [ia, ib] = observed.link_ends(i);
     features[i].value[3] = bucket_ratio(observed.transit_degree(ia),
                                         observed.transit_degree(ib));
-    const double end_share =
-        total_occurrences[i] == 0
-            ? 0.0
-            : static_cast<double>(end_occurrences[i]) / total_occurrences[i];
+    // Every link occurs at least once.
+    const double end_share = static_cast<double>(stats.end_occurrences[i]) /
+                             observed.link_occurrences(i);
     features[i].value[4] = end_share > 0.8 ? 0 : end_share > 0.2 ? 1 : 2;
   }
 
-  // Dynamic feature 0 (triplet context) from the current labeling.
-  using TripletCounts =
-      std::vector<std::array<std::array<std::uint32_t, 4>, 2>>;
+  // Dynamic feature 0 (triplet context) from the current labeling. Per
+  // directed slot (see ObservedPaths::path_slots), how often a hop is
+  // preceded by a predecessor of each category.
+  std::vector<std::uint8_t> category(2 * link_count);
+  using TripletCounts = std::vector<std::array<std::uint32_t, 4>>;
   const auto refresh_triplet_feature = [&] {
-    // Per (link, orientation): counts of predecessor categories, summed
-    // over adjacency chunks (one per worker; integer sums are merge-order
-    // independent, so the result matches the serial accumulation exactly).
-    const std::size_t chunks = std::max<std::size_t>(
-        1, std::min<std::size_t>(threads, adjacency_flat.size()));
+    // Category of a predecessor hop by its slot: traversed from link.a
+    // (even slot) or from link.b (odd slot).
+    for (LinkId i = 0; i < link_count; ++i) {
+      const auto category_from = [&](Asn from) {
+        if (current[i].rel != topo::RelType::kP2C) return kPredPeer;
+        return current[i].provider == from ? kPredDown : kPredUp;
+      };
+      category[2 * i] = static_cast<std::uint8_t>(category_from(links[i].a));
+      category[2 * i + 1] =
+          static_cast<std::uint8_t>(category_from(links[i].b));
+    }
     const TripletCounts counts = core::parallel_reduce_ordered(
-        pool, chunks, threads,
-        TripletCounts(link_count, {{{0, 0, 0, 0}, {0, 0, 0, 0}}}),
+        pool, chunks, threads, TripletCounts(2 * link_count),
         [&](std::size_t chunk) {
           obs::TraceSpan span{"infer.problink.triplet_chunk"};
-          TripletCounts local(link_count, {{{0, 0, 0, 0}, {0, 0, 0, 0}}});
-          const std::size_t begin = chunk * adjacency_flat.size() / chunks;
-          const std::size_t end =
-              (chunk + 1) * adjacency_flat.size() / chunks;
-          for (std::size_t k = begin; k < end; ++k) {
-            const auto& [key, count] = adjacency_flat[k];
-            const auto& prev_link = links[key.prev];
-            const auto& prev_rel = current[key.prev];
-            // Direction of travel across the predecessor: from x to y where
-            // the pair (x, y) is (a, b) if prev_forward, else (b, a).
-            const Asn from = key.prev_forward ? prev_link.a : prev_link.b;
-            Pred category = kPredPeer;
-            if (prev_rel.rel == topo::RelType::kP2C) {
-              category = prev_rel.provider == from ? kPredDown : kPredUp;
+          TripletCounts local(2 * link_count);
+          for_each_chunk_path(chunk, [&](std::size_t p) {
+            const auto slots = observed.path_slots(p);
+            for (std::size_t i = 1; i < slots.size(); ++i) {
+              ++local[slots[i]][category[slots[i - 1]]];
             }
-            local[key.cur][key.cur_forward][static_cast<int>(category)] +=
-                count;
-          }
+          });
           return local;
         },
         [&](TripletCounts& acc, TripletCounts&& partial) {
-          for (std::size_t i = 0; i < link_count; ++i) {
-            for (int orient = 0; orient < 2; ++orient) {
-              for (int c = 0; c < 4; ++c) {
-                acc[i][orient][c] += partial[i][orient][c];
-              }
-            }
+          for (std::size_t slot = 0; slot < acc.size(); ++slot) {
+            for (int c = 0; c < 4; ++c) acc[slot][c] += partial[slot][c];
           }
         });
     pool.run_indexed(link_count, threads, [&](std::size_t i) {
-      std::array<int, 2> dominant{kPredNone, kPredNone};
-      for (int orient = 0; orient < 2; ++orient) {
+      const auto dominant = [](const std::array<std::uint32_t, 4>& count) {
+        int best_category = kPredNone;
         std::uint32_t best = 0;
         for (int c = 1; c < 4; ++c) {
-          if (counts[i][orient][c] > best) {
-            best = counts[i][orient][c];
-            dominant[orient] = c;
+          if (count[c] > best) {
+            best = count[c];
+            best_category = c;
           }
         }
-      }
-      features[i].value[0] = dominant[0] * 4 + dominant[1];
+        return best_category;
+      };
+      // Orientation 0 is a hop against link order (odd slot), 1 along it.
+      features[i].value[0] =
+          dominant(counts[2 * i + 1]) * 4 + dominant(counts[2 * i]);
     });
   };
 
@@ -218,6 +204,11 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
   result.training_links = train.size();
 
   // ---- Iterative classification ---------------------------------------------
+  struct Verdict {
+    LinkClass best;
+    double confidence;
+  };
+  std::vector<Verdict> verdicts;
   int iteration = 0;
   for (; iteration < params.max_iterations; ++iteration) {
     refresh_triplet_feature();
@@ -260,11 +251,7 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
     // Re-classify every link. Each link's verdict reads only the frozen
     // model and its own features, so the scores parallelize; the verdicts
     // are applied on the caller thread in link order below.
-    struct Verdict {
-      LinkClass best;
-      double confidence;
-    };
-    const auto verdicts = core::parallel_map_ordered<Verdict>(
+    verdicts = core::parallel_map_ordered<Verdict>(
         pool, link_count, threads, [&](std::size_t i) {
           std::array<double, kLinkClassCount> score = log_prior;
           for (std::size_t f = 0; f < kFeatures.size(); ++f) {
@@ -286,7 +273,6 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
 
     std::size_t changed = 0;
     for (std::size_t i = 0; i < link_count; ++i) {
-      result.confidence[links[i]] = verdicts[i].confidence;
       const InferredRel updated = rel_of_link_class(links[i], verdicts[i].best);
       const bool same = updated.rel == current[i].rel &&
                         (updated.rel != topo::RelType::kP2C ||
@@ -304,6 +290,9 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
   }
   result.iterations_used = iteration;
 
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    result.confidence[links[i]] = verdicts[i].confidence;
+  }
   for (std::size_t i = 0; i < link_count; ++i) {
     result.inference.set(links[i], current[i]);
   }

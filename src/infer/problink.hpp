@@ -29,9 +29,9 @@ struct ProbLinkParams {
   double laplace = 1.0;  ///< additive smoothing for the conditionals
   /// Stop when fewer than this fraction of links change per iteration.
   double convergence_fraction = 0.001;
-  /// Worker count for the per-round scoring and triplet refresh
-  /// (0 = hardware concurrency, 1 = serial). The inference is
-  /// byte-identical for every setting.
+  /// Worker count for the path sweeps, the per-round scoring and the
+  /// triplet refresh (0 = hardware concurrency, 1 = serial). The inference
+  /// and the confidences are byte-identical for every setting.
   unsigned threads = 0;
 };
 

@@ -155,6 +155,18 @@ std::optional<std::string> diff_against_oracle(
       why << "path " << p << " differs";
       return fail();
     }
+    // One directed slot per hop pair: 2 * link, plus 1 when the hop runs
+    // from the higher index to the lower.
+    const auto slots = observed.path_slots(p);
+    same = slots.size() == (path.empty() ? 0 : path.size() - 1);
+    for (std::size_t i = 0; same && i < slots.size(); ++i) {
+      same = slots[i] == 2 * observed.link_id(path[i], path[i + 1]) +
+                             (path[i] > path[i + 1] ? 1 : 0);
+    }
+    if (!same) {
+      why << "path_slots of path " << p << " differ";
+      return fail();
+    }
   }
 
   // AS universe, degrees and rank order.

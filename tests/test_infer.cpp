@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <unordered_set>
 
 #include "infer/asrank.hpp"
@@ -104,6 +105,34 @@ TEST(ObservedPaths, FirstHopCoverage) {
   EXPECT_EQ(observed.origin_count(0), 3u);  // after sanitization
   EXPECT_EQ(first_hop_count(observed, 1, Asn{2}), 1u);
   EXPECT_EQ(first_hop_count(observed, 1, Asn{3}), 0u);
+}
+
+TEST(ObservedPaths, RejectsMoreVantagePointsThan16BitsHold) {
+  // VP numbers are stored in 16 bits, so 65,535 VPs is the most a table
+  // may carry. A path from the last of them keeps its number.
+  const auto table_with = [](std::size_t vp_count) {
+    bgp::PathTable table;
+    std::vector<bgp::VantagePoint> vps;
+    for (std::size_t v = 0; v < vp_count; ++v) {
+      vps.push_back({Asn{static_cast<std::uint32_t>(100000 + v)}, true,
+                     false});
+    }
+    table.set_vantage_points(vps);
+    table.resize_origins(1);
+    const auto last = static_cast<std::uint32_t>(vp_count - 1);
+    const std::vector<Asn> path{vps[last].asn, Asn{7}};
+    table.add_path(0, last, path);
+    table.recount();
+    return table;
+  };
+  EXPECT_THROW((void)ObservedPaths::build(table_with(65536)),
+               std::invalid_argument);
+  const auto observed = ObservedPaths::build(table_with(65535));
+  ASSERT_EQ(observed.path_count(), 1u);
+  EXPECT_EQ(observed.vp_of_path(0), 65534u);
+  EXPECT_EQ(observed.origin_count(65534), 1u);
+  EXPECT_EQ(observed.first_hops(65534).size(), 1u);
+  EXPECT_EQ(observed.link_vp_count(0), 1u);
 }
 
 // ------------------------------------------- dense build versus the oracle --
@@ -339,12 +368,13 @@ TEST(AsRank, SubsetModeLabelsOnlySubsetLinks) {
 }
 
 TEST(AsRank, ManyLinksLabelLikeFewLinks) {
-  // A run stores its per-hop slots in 16 bits up to 32,768 links and in 32
-  // bits beyond. Adding a far-away star of 33,000 one-hop paths behind one
-  // more VP crosses that line without changing anything ASRank reads for
-  // the original links: the star is transit-free, each of its first hops
-  // covers one origin, and going from 11 to 12 VPs keeps the "widely seen"
-  // cut at 3 VPs. So both widths must label the original links alike.
+  // Regression test for worlds above 32,768 links, whose directed slots
+  // need more than 16 bits. Adding a far-away star of 33,000 one-hop paths
+  // behind one more VP goes past that count without changing anything
+  // ASRank reads for the original links: the star is transit-free, each of
+  // its first hops covers one origin, and going from 11 to 12 VPs keeps the
+  // "widely seen" cut at 3 VPs. So both worlds must label the original
+  // links alike.
   topo::TopologyParams topo_params;
   topo_params.as_count = 400;
   topo_params.seed = 5;
@@ -358,7 +388,7 @@ TEST(AsRank, ManyLinksLabelLikeFewLinks) {
   const auto table = bgp::collect_paths(propagator, vps);
 
   // The star goes first (origin 0), so the original links get the high
-  // ids whose slots only 32 bits can hold.
+  // ids whose slots do not fit in 16 bits.
   bgp::PathTable wide;
   auto wide_vps = vps;
   const Asn hub{4100000000u};
@@ -448,6 +478,46 @@ TEST(ProbLink, Deterministic) {
   const auto b =
       run_problink(scenario.observed(), asrank, scenario.validation());
   EXPECT_EQ(a.inference.agreement_with(b.inference), 1.0);
+}
+
+TEST(ProbLink, ThreadCountDoesNotChangeLabelsOrConfidence) {
+  // The path sweeps split the paths into one chunk per thread; on the tiny
+  // table, eight threads leave some chunks empty.
+  const auto tiny = ObservedPaths::build(tiny_table(), nullptr);
+  val::CleanLabel customer;
+  customer.link = val::AsLink{Asn{2}, Asn{3}};
+  customer.rel = topo::RelType::kP2C;
+  customer.provider = Asn{2};
+  val::CleanLabel peer;
+  peer.link = val::AsLink{Asn{1}, Asn{2}};
+  const std::vector<val::CleanLabel> tiny_training{customer, peer};
+  ASSERT_LT(tiny.path_count(), 8u);
+
+  const auto& scenario = test::shared_scenario();
+  const std::vector<std::pair<const ObservedPaths*,
+                              std::span<const val::CleanLabel>>>
+      cases{{&scenario.observed(), scenario.validation()},
+            {&tiny, tiny_training}};
+  for (const auto& [observed, training] : cases) {
+    const auto asrank = run_asrank(*observed);
+    ProbLinkParams params;
+    params.threads = 1;
+    const auto serial = run_problink(*observed, asrank, training, params);
+    ASSERT_EQ(serial.confidence.size(), observed->link_count());
+    for (const unsigned threads : {2u, 3u, 8u}) {
+      params.threads = threads;
+      const auto parallel = run_problink(*observed, asrank, training, params);
+      EXPECT_EQ(parallel.iterations_used, serial.iterations_used) << threads;
+      EXPECT_EQ(parallel.confidence, serial.confidence) << threads;
+      ASSERT_EQ(parallel.inference.order(), serial.inference.order());
+      for (const auto& link : serial.inference.order()) {
+        const auto* want = serial.inference.find(link);
+        const auto* got = parallel.inference.find(link);
+        EXPECT_EQ(got->rel, want->rel) << threads;
+        EXPECT_EQ(got->provider, want->provider) << threads;
+      }
+    }
+  }
 }
 
 TEST(ProbLink, StaysCloseToInitialLabeling) {
