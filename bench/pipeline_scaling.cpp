@@ -1,12 +1,13 @@
 // Scaling bench for the deterministic parallel pipeline.
 //
 // Every stage ported onto core::ThreadPool — BGP path collection,
-// community extraction, ProbLink, TopoScope, and the BiasAudit tabulation —
-// is timed serial vs 2/4/8 workers, and each threaded run's output is
-// byte-compared against the serial baseline (the determinism contract, not
-// just a statistical check). Sanitize (ObservedPaths::build) and ASRank are
-// serial stages; their rows run the same serial code at every setting, so
-// they show each stage's share of the pipeline and its run-to-run spread. Emits BENCH_pipeline.json; the recorded
+// community extraction, sanitize (ObservedPaths::build), ProbLink,
+// TopoScope, and the BiasAudit tabulation — is timed serial vs 2/4/8
+// workers, and each threaded run's output is byte-compared against the
+// serial baseline (the determinism contract, not just a statistical
+// check). ASRank is a serial stage; its row runs the same serial code at
+// every setting, so it shows the stage's share of the pipeline and its
+// run-to-run spread. Emits BENCH_pipeline.json; the recorded
 // hardware_threads puts the speedups in context — on a single-core runner
 // every parallel run degenerates to roughly serial wall-clock.
 //
@@ -53,6 +54,26 @@ std::string path_bytes(const bgp::PathTable& table) {
 
 std::string observed_bytes(const infer::ObservedPaths& observed) {
   std::ostringstream out;
+  // Hops, slots and VPs of every path enter as one word hash: the arena
+  // holds millions of hops, and rendering them would swamp the timing.
+  std::uint64_t paths = 0xcbf29ce484222325ull;
+  const auto mix = [&paths](std::uint64_t word) {
+    paths = (paths ^ word) * 0x100000001b3ull;
+  };
+  for (std::size_t p = 0; p < observed.path_count(); ++p) {
+    mix(observed.vp_of_path(p));
+    for (const infer::AsIndex hop : observed.path(p)) mix(hop);
+    for (const std::uint32_t slot : observed.path_slots(p)) mix(slot);
+  }
+  out << "paths " << observed.path_count() << ' ' << paths << '\n';
+  for (std::size_t vp = 0; vp < observed.vp_count(); ++vp) {
+    const auto index = static_cast<std::uint16_t>(vp);
+    out << "vp " << vp << ':' << observed.origin_count(index);
+    for (const infer::FirstHop& hop : observed.first_hops(index)) {
+      out << ' ' << hop.as << '=' << hop.count;
+    }
+    out << '\n';
+  }
   for (infer::LinkId id = 0; id < observed.link_count(); ++id) {
     const auto& link = observed.link_order()[id];
     out << link.a.value() << '-' << link.b.value() << ':'
@@ -145,8 +166,9 @@ int main() {
         extract));
   }));
 
-  stages.push_back(run_stage("sanitize", [&](unsigned) {
-    return observed_bytes(infer::ObservedPaths::build(scenario->paths()));
+  stages.push_back(run_stage("sanitize", [&](unsigned threads) {
+    return observed_bytes(
+        infer::ObservedPaths::build(scenario->paths(), nullptr, threads));
   }));
 
   stages.push_back(run_stage("asrank", [&](unsigned) {

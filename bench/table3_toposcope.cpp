@@ -11,12 +11,11 @@ int main() {
   bench::print_validation_table(
       "Table 3 — per group validation for TopoScope",
       bench::toposcope().inference);
+  const auto hidden =
+      infer::predict_hidden_links(bench::scenario().observed());
   std::printf("\nTopoScope: %d vantage-point groups, %zu hidden links "
               "predicted (top confidence %.2f)\n",
-              bench::toposcope().groups_used,
-              bench::toposcope().hidden_links.size(),
-              bench::toposcope().hidden_links.empty()
-                  ? 0.0
-                  : bench::toposcope().hidden_links.front().confidence);
+              bench::toposcope().groups_used, hidden.size(),
+              hidden.empty() ? 0.0 : hidden.front().confidence);
   return 0;
 }

@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
   const auto toposcope = infer::run_toposcope(
       scenario->observed(), asrank, scenario->validation());
   std::printf("  %d VP groups, %zu hidden links predicted\n",
-              toposcope.groups_used, toposcope.hidden_links.size());
+              toposcope.groups_used,
+              infer::predict_hidden_links(scenario->observed()).size());
 
   const core::BiasAudit audit{*scenario};
 

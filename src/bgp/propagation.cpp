@@ -387,34 +387,30 @@ std::size_t PathTable::hop_count() const {
 void PathTable::for_each_path(
     const std::function<void(const PathRef&)>& visit) const {
   for (std::size_t origin = 0; origin < per_origin_.size(); ++origin) {
-    const auto& bucket = per_origin_[origin];
-    for (std::size_t i = 0; i < bucket.vp_ids.size(); ++i) {
-      const std::uint32_t begin = bucket.offsets[i];
-      const std::uint32_t end = i + 1 < bucket.offsets.size()
-                                    ? bucket.offsets[i + 1]
-                                    : static_cast<std::uint32_t>(
-                                          bucket.arena.size());
-      visit(PathRef{bucket.vp_ids[i], static_cast<topo::NodeId>(origin),
-                    std::span{bucket.arena}.subspan(begin, end - begin)});
-    }
+    for_each_path_of(static_cast<topo::NodeId>(origin), visit);
   }
 }
 
-std::vector<PathTable::PathRef> PathTable::paths_for_origin(
-    topo::NodeId origin) const {
-  std::vector<PathRef> out;
-  if (origin >= per_origin_.size()) return out;
-  const auto& bucket = per_origin_[origin];
-  for (std::size_t i = 0; i < bucket.vp_ids.size(); ++i) {
-    const std::uint32_t begin = bucket.offsets[i];
-    const std::uint32_t end =
-        i + 1 < bucket.offsets.size()
-            ? bucket.offsets[i + 1]
-            : static_cast<std::uint32_t>(bucket.arena.size());
-    out.push_back(PathRef{bucket.vp_ids[i], origin,
-                          std::span{bucket.arena}.subspan(begin, end - begin)});
+std::vector<std::size_t> split_origins_by_hops(const PathTable& table,
+                                               std::size_t chunks) {
+  const std::size_t origins = table.origin_count();
+  std::size_t total = 0;
+  for (std::size_t origin = 0; origin < origins; ++origin) {
+    total += table.origin_hop_count(static_cast<topo::NodeId>(origin));
   }
-  return out;
+  std::vector<std::size_t> bounds(chunks + 1, origins);
+  bounds[0] = 0;
+  std::size_t chunk = 1;
+  std::size_t seen = 0;
+  for (std::size_t origin = 0; origin < origins && chunk < chunks; ++origin) {
+    // Chunk k starts at the first origin whose preceding hops reach
+    // k / chunks of the total.
+    while (chunk < chunks && seen * chunks >= chunk * total) {
+      bounds[chunk++] = origin;
+    }
+    seen += table.origin_hop_count(static_cast<topo::NodeId>(origin));
+  }
+  return bounds;
 }
 
 std::vector<VpSession> resolve_vp_sessions(const topo::AsGraph& graph,

@@ -156,9 +156,29 @@ class PathTable {
   void for_each_path(
       const std::function<void(const PathRef&)>& visit) const;
 
-  /// Paths for one origin node.
-  [[nodiscard]] std::vector<PathRef> paths_for_origin(
-      topo::NodeId origin) const;
+  /// Paths and stored hops of one origin, in O(1). Origin-chunked stages
+  /// size their chunks from these without walking the paths.
+  [[nodiscard]] std::size_t origin_path_count(topo::NodeId origin) const {
+    return per_origin_[origin].vp_ids.size();
+  }
+  [[nodiscard]] std::size_t origin_hop_count(topo::NodeId origin) const {
+    return per_origin_[origin].arena.size();
+  }
+
+  /// Visits one origin's paths in stored order without allocating.
+  template <typename Visit>
+  void for_each_path_of(topo::NodeId origin, Visit&& visit) const {
+    const OriginPaths& bucket = per_origin_[origin];
+    const std::size_t count = bucket.vp_ids.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint32_t begin = bucket.offsets[i];
+      const std::uint32_t end =
+          i + 1 < count ? bucket.offsets[i + 1]
+                        : static_cast<std::uint32_t>(bucket.arena.size());
+      visit(PathRef{bucket.vp_ids[i], origin,
+                    std::span{bucket.arena}.subspan(begin, end - begin)});
+    }
+  }
 
   /// Builder interface (used by collect_paths).
   void set_vantage_points(std::vector<VantagePoint> vps) {
@@ -205,6 +225,13 @@ struct VpSession {
 /// incremental tables stay byte-identical to batch-collected ones.
 void harvest_origin(const Propagator& propagator, const OriginRib& rib,
                     std::span<const VpSession> sessions, PathTable& table);
+
+/// Splits the origins into `chunks` contiguous ranges of about equal stored
+/// hop counts: chunk k is [bounds[k], bounds[k + 1]). O(origins). Ranges
+/// may be empty (fewer origins than chunks, or one origin holding most of
+/// the hops).
+[[nodiscard]] std::vector<std::size_t> split_origins_by_hops(
+    const PathTable& table, std::size_t chunks);
 
 /// Propagates every origin and harvests the VP paths (parallelized across
 /// origins; result independent of thread count).

@@ -52,7 +52,8 @@ void Scenario::finish_from_paths() {
   const ScenarioParams& effective = params_;
   {
     obs::StageScope scope{"pipeline.sanitize"};
-    observed_ = infer::ObservedPaths::build(paths_, &sanitize_stats_);
+    observed_ = infer::ObservedPaths::build(paths_, &sanitize_stats_,
+                                            params_.threads);
   }
 
   // 3. Validation compilation (Luckie-style communities, plus optional

@@ -15,11 +15,20 @@
 // runs link.a -> link.b and 2 * LinkId + 1 when it runs b -> a. Path
 // sweeps read these instead of calling link_id per hop; link_id is for
 // pairs that are not hops of an observed path.
+//
+// The build is chunk-parallel and its output does not depend on the
+// thread count. Sanitize runs per contiguous origin range, each chunk
+// writing into its range's upper-bound region of one shared hop arena; an
+// ordered compaction closes the gaps. Links are numbered per contiguous
+// path range and merged in range order, which reproduces the global
+// first-occurrence order (DESIGN.md §5).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -71,9 +80,12 @@ class ObservedPaths {
   ///  * paths with loops (non-consecutive repeats) dropped,
   ///  * paths containing reserved ASNs or AS_TRANS dropped.
   /// Throws std::invalid_argument when the table has more than 65,535
-  /// vantage points: VP numbers are stored in 16 bits.
+  /// vantage points: VP numbers are stored in 16 bits. `threads` follows
+  /// the pool convention (0 = auto, 1 = serial, N = at most N); the result
+  /// is identical for every value.
   [[nodiscard]] static ObservedPaths build(const bgp::PathTable& table,
-                                           SanitizeStats* stats = nullptr);
+                                           SanitizeStats* stats = nullptr,
+                                           unsigned threads = 0);
 
   // ---- paths ----
   [[nodiscard]] std::size_t path_count() const { return offsets_.size() - 1; }
@@ -157,11 +169,35 @@ class ObservedPaths {
   }
 
  private:
-  std::vector<AsIndex> arena_;
-  // Directed hop slots, parallel to arena_; each path's last entry unused.
-  std::vector<std::uint32_t> slots_;
-  std::vector<std::uint32_t> offsets_{0};
-  std::vector<std::uint16_t> path_vp_;
+  /// std::allocator whose value-initialization default-initializes:
+  /// resize() neither zero-fills nor touches the new pages, so the build's
+  /// chunks fault in and fill the path arrays in parallel.
+  template <typename T>
+  struct UninitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = UninitAllocator<U>;
+    };
+    UninitAllocator() = default;
+    template <typename U>
+    UninitAllocator(const UninitAllocator<U>&) noexcept {}
+    template <typename U>
+    void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  template <typename T>
+  using UninitVector = std::vector<T, UninitAllocator<T>>;
+
+  UninitVector<AsIndex> arena_;
+  // Directed hop slots, parallel to arena_; each path's last entry is 0.
+  UninitVector<std::uint32_t> slots_;
+  UninitVector<std::uint32_t> offsets_{0};
+  UninitVector<std::uint16_t> path_vp_;
 
   std::vector<asn::Asn> ases_;  // sorted
   std::vector<std::uint32_t> transit_degree_;

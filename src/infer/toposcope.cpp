@@ -188,43 +188,56 @@ TopoScopeResult run_toposcope(const ObservedPaths& observed,
     result.inference.set(links[i], rel_of_link_class(links[i], verdicts[i]));
   }
 
-  // ---- Hidden-link prediction -------------------------------------------------
+  return result;
+}
+
+std::vector<HiddenLink> predict_hidden_links(
+    const ObservedPaths& observed, std::uint32_t min_common_neighbors) {
   // Collector peers have (near) complete neighbor sets; two of them sharing
   // many neighbors without an observed link between them very likely
   // interconnect privately or via an IXP the collectors miss.
-  {
-    const auto by_neighbor = [](const Adjacency& x, const Adjacency& y) {
-      return x.neighbor < y.neighbor;
-    };
-    const auto vp_asns = observed.vp_asns();
-    for (std::size_t i = 0; i < vp_asns.size(); ++i) {
-      for (std::size_t j = i + 1; j < vp_asns.size(); ++j) {
-        const AsLink link{vp_asns[i], vp_asns[j]};
-        if (link.a == link.b) continue;
-        const auto ia = observed.index_of(vp_asns[i]);
-        const auto ib = observed.index_of(vp_asns[j]);
-        if (!ia || !ib || observed.link_id(*ia, *ib) != kNoLink) continue;
-        const auto na = observed.neighbors(*ia);
-        const auto nb = observed.neighbors(*ib);
-        std::vector<Adjacency> common;
-        std::set_intersection(na.begin(), na.end(), nb.begin(), nb.end(),
-                              std::back_inserter(common), by_neighbor);
-        if (common.size() < params.hidden_min_common_neighbors) continue;
-        const double unions =
-            static_cast<double>(na.size() + nb.size() - common.size());
-        result.hidden_links.push_back(
-            {link, static_cast<double>(common.size()) / unions});
-      }
-    }
-    std::sort(result.hidden_links.begin(), result.hidden_links.end(),
-              [](const HiddenLink& a, const HiddenLink& b) {
-                if (a.confidence != b.confidence) {
-                  return a.confidence > b.confidence;
-                }
-                return a.link < b.link;
-              });
+  const auto vp_asns = observed.vp_asns();
+  std::vector<AsIndex> vp_index(vp_asns.size(), kNoAs);
+  for (std::size_t i = 0; i < vp_asns.size(); ++i) {
+    vp_index[i] = observed.index_of(vp_asns[i]).value_or(kNoAs);
   }
-  return result;
+  std::vector<HiddenLink> hidden;
+  for (std::size_t i = 0; i < vp_asns.size(); ++i) {
+    if (vp_index[i] == kNoAs) continue;
+    const auto na = observed.neighbors(vp_index[i]);
+    for (std::size_t j = i + 1; j < vp_asns.size(); ++j) {
+      if (vp_index[j] == kNoAs || vp_asns[i] == vp_asns[j] ||
+          observed.link_id(vp_index[i], vp_index[j]) != kNoLink) {
+        continue;
+      }
+      // Both lists are sorted by neighbor index: count the intersection.
+      const auto nb = observed.neighbors(vp_index[j]);
+      std::size_t common = 0;
+      for (std::size_t x = 0, y = 0; x < na.size() && y < nb.size();) {
+        if (na[x].neighbor < nb[y].neighbor) {
+          ++x;
+        } else if (nb[y].neighbor < na[x].neighbor) {
+          ++y;
+        } else {
+          ++common;
+          ++x;
+          ++y;
+        }
+      }
+      if (common < min_common_neighbors) continue;
+      const double unions = static_cast<double>(na.size() + nb.size() - common);
+      hidden.push_back({AsLink{vp_asns[i], vp_asns[j]},
+                        static_cast<double>(common) / unions});
+    }
+  }
+  std::sort(hidden.begin(), hidden.end(),
+            [](const HiddenLink& a, const HiddenLink& b) {
+              if (a.confidence != b.confidence) {
+                return a.confidence > b.confidence;
+              }
+              return a.link < b.link;
+            });
+  return hidden;
 }
 
 }  // namespace asrel::infer

@@ -3,7 +3,9 @@
 // Structure follows the published system: vantage points are split into
 // groups to fight observation bias; a base inference runs per group; an
 // ensemble classifier reconciles the per-group verdicts with global link
-// features; a final stage predicts *hidden* links that no collector saw.
+// features. The original's final stage, predicting *hidden* links that no
+// collector saw, is a separate on-demand call (predict_hidden_links): no
+// published classification reads it.
 //
 // Documented simplification: the original's gradient-boosted trees are
 // replaced by a calibrated categorical naive-Bayes over the same feature
@@ -27,9 +29,6 @@ struct TopoScopeParams {
   int vp_groups = 8;
   AsRankParams base;
   double laplace = 1.0;
-  /// Hidden-link prediction: two collector peers sharing at least this many
-  /// observed neighbors (but no observed link) are predicted to interconnect.
-  std::uint32_t hidden_min_common_neighbors = 8;
   /// Worker count for the per-group ensemble members and per-link feature /
   /// scoring passes (0 = hardware concurrency, 1 = serial). The inference is
   /// byte-identical for every setting.
@@ -44,7 +43,6 @@ struct HiddenLink {
 struct TopoScopeResult {
   Inference inference;
   std::vector<asn::Asn> clique;
-  std::vector<HiddenLink> hidden_links;
   int groups_used = 0;
   std::size_t training_links = 0;
 };
@@ -53,5 +51,11 @@ struct TopoScopeResult {
     const ObservedPaths& observed, const AsRankResult& global,
     std::span<const val::CleanLabel> training,
     const TopoScopeParams& params = {});
+
+/// Hidden-link prediction: two collector peers sharing at least
+/// `min_common_neighbors` observed neighbors, but no observed link, are
+/// predicted to interconnect. Sorted by confidence descending, then link.
+[[nodiscard]] std::vector<HiddenLink> predict_hidden_links(
+    const ObservedPaths& observed, std::uint32_t min_common_neighbors = 8);
 
 }  // namespace asrel::infer

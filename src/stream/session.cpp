@@ -278,7 +278,7 @@ const io::Snapshot& StreamSession::publish(std::uint64_t built_unix_ms) {
     // must detect and heal it.
     const auto n = static_cast<topo::NodeId>(ribs_.size());
     for (topo::NodeId origin = 0; origin < n; ++origin) {
-      if (paths_.paths_for_origin(origin).empty()) continue;
+      if (paths_.origin_path_count(origin) == 0) continue;
       paths_.clear_origin(origin);
       paths_.recount();
       paths_dirty_ = true;

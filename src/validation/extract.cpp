@@ -199,30 +199,32 @@ ValidationSet extract_from_communities(const bgp::Propagator& propagator,
     }
   };
 
-  // Origins are scanned in contiguous chunks; merging the chunk-local sets
-  // back in chunk (= origin) order replays the exact add() sequence of the
-  // serial scan, so the result is byte-identical for any thread count.
+  // Origins are scanned in contiguous chunks of about equal hop counts;
+  // merging the chunk-local sets back in chunk (= origin) order replays the
+  // exact add() sequence of the serial scan, so the result is byte-identical
+  // for any thread count.
   struct Shard {
     ValidationSet set;
     ExtractStats stats;
   };
   core::ThreadPool& pool = core::ThreadPool::shared();
   const unsigned threads = core::ThreadPool::effective_threads(params.threads);
-  const std::size_t origins = paths.origin_count();
-  const std::size_t chunks =
-      std::max<std::size_t>(1, std::min<std::size_t>(threads, origins));
+  const std::size_t chunks = std::max<std::size_t>(
+      1, std::min<std::size_t>(threads, paths.origin_count()));
+  const std::vector<std::size_t> bounds =
+      bgp::split_origins_by_hops(paths, chunks);
   std::vector<Shard> shards = core::parallel_map_ordered<Shard>(
       pool, chunks, threads, [&](std::size_t chunk) {
         obs::TraceSpan span{"validation.extract.chunk"};
         Shard shard;
         std::vector<Asn> hops;
-        const std::size_t begin = chunk * origins / chunks;
-        const std::size_t end = (chunk + 1) * origins / chunks;
-        for (std::size_t origin = begin; origin < end; ++origin) {
-          for (const auto& ref :
-               paths.paths_for_origin(static_cast<topo::NodeId>(origin))) {
-            scan_path(ref, shard.set, shard.stats, hops);
-          }
+        for (std::size_t origin = bounds[chunk]; origin < bounds[chunk + 1];
+             ++origin) {
+          paths.for_each_path_of(
+              static_cast<topo::NodeId>(origin),
+              [&](const bgp::PathTable::PathRef& ref) {
+                scan_path(ref, shard.set, shard.stats, hops);
+              });
         }
         return shard;
       });

@@ -253,4 +253,46 @@ std::optional<std::string> diff_against_oracle(
   return std::nullopt;
 }
 
+std::string render_observed(const infer::ObservedPaths& observed,
+                            const infer::SanitizeStats& stats) {
+  std::ostringstream out;
+  out << "stats " << stats.input_paths << ' ' << stats.dropped_loop << ' '
+      << stats.dropped_reserved << ' ' << stats.kept << '\n';
+  for (std::size_t p = 0; p < observed.path_count(); ++p) {
+    out << "path " << observed.vp_of_path(p) << ':';
+    for (const infer::AsIndex hop : observed.path(p)) out << ' ' << hop;
+    out << " |";
+    for (const std::uint32_t slot : observed.path_slots(p)) out << ' ' << slot;
+    out << '\n';
+  }
+  for (infer::AsIndex i = 0; i < observed.as_count(); ++i) {
+    out << "as " << observed.asn_at(i).value() << ' '
+        << observed.transit_degree(i) << ' ' << observed.node_degree(i)
+        << ':';
+    for (const infer::Adjacency& entry : observed.neighbors(i)) {
+      out << ' ' << entry.neighbor << '/' << entry.link;
+    }
+    out << '\n';
+  }
+  out << "rank";
+  for (const infer::AsIndex index : observed.rank_order()) out << ' ' << index;
+  out << '\n';
+  for (infer::LinkId id = 0; id < observed.link_count(); ++id) {
+    const auto [a, b] = observed.link_ends(id);
+    out << "link " << link_name(observed.link_order()[id]) << ' ' << a << ' '
+        << b << ' ' << observed.link_occurrences(id) << ' '
+        << observed.link_vp_count(id) << '\n';
+  }
+  for (std::size_t vp = 0; vp < observed.vp_count(); ++vp) {
+    const auto index = static_cast<std::uint16_t>(vp);
+    out << "vp " << observed.vp_asns()[vp].value() << ' '
+        << observed.origin_count(index) << ':';
+    for (const infer::FirstHop& hop : observed.first_hops(index)) {
+      out << ' ' << hop.as << '=' << hop.count;
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
 }  // namespace asrel::test

@@ -47,4 +47,9 @@ struct ObservedOracle {
     const infer::ObservedPaths& observed,
     const infer::SanitizeStats& observed_stats, const ObservedOracle& oracle);
 
+/// Every accessor of `observed`, and `stats`, rendered in index terms:
+/// two builds agree on every accessor iff their renderings are equal.
+[[nodiscard]] std::string render_observed(const infer::ObservedPaths& observed,
+                                          const infer::SanitizeStats& stats);
+
 }  // namespace asrel::test

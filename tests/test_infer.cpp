@@ -137,9 +137,10 @@ TEST(ObservedPaths, RejectsMoreVantagePointsThan16BitsHold) {
 
 // ------------------------------------------- dense build versus the oracle --
 
-std::optional<std::string> oracle_mismatch(const bgp::PathTable& table) {
+std::optional<std::string> oracle_mismatch(const bgp::PathTable& table,
+                                           unsigned threads = 0) {
   SanitizeStats stats;
-  const auto observed = ObservedPaths::build(table, &stats);
+  const auto observed = ObservedPaths::build(table, &stats, threads);
   return test::diff_against_oracle(observed, stats,
                                    test::ObservedOracle::build(table));
 }
@@ -207,9 +208,14 @@ TEST(ObservedPaths, DenseBuildMatchesOracleOnRandomTables) {
   config.cases = 60;
   const auto result = testing::check_property<std::uint64_t>(
       config, [](testing::Rng& rng) { return rng.next(); },
-      [](const std::uint64_t& seed) {
-        testing::Rng rng{seed};
-        return oracle_mismatch(random_table(rng));
+      [](const std::uint64_t& seed) -> std::optional<std::string> {
+        for (const unsigned threads : {1u, 4u}) {
+          testing::Rng rng{seed};
+          if (auto mismatch = oracle_mismatch(random_table(rng), threads)) {
+            return "threads " + std::to_string(threads) + ": " + *mismatch;
+          }
+        }
+        return std::nullopt;
       });
   EXPECT_TRUE(result.ok) << result.message << " (case " << result.failing_case
                          << ", seed " << *result.counterexample << ")";
@@ -236,6 +242,62 @@ TEST(ObservedPaths, DenseBuildMatchesOracleOnGeneratedWorlds) {
     const auto mismatch = oracle_mismatch(table);
     EXPECT_FALSE(mismatch) << "as_count " << as_count << " seed " << seed
                            << ": " << *mismatch;
+  }
+}
+
+TEST(ObservedPaths, ThreadCountDoesNotChangeTheBuild) {
+  // Chunk bounds move with the thread count; nothing else may.
+  const auto rendered = [](const bgp::PathTable& table, unsigned threads) {
+    SanitizeStats stats;
+    const auto observed = ObservedPaths::build(table, &stats, threads);
+    return test::render_observed(observed, stats);
+  };
+  const auto make_table = [](std::size_t origins,
+                             std::initializer_list<std::pair<
+                                 topo::NodeId, std::vector<std::uint32_t>>>
+                                 paths) {
+    bgp::PathTable table;
+    table.set_vantage_points({{Asn{1}, true, false}, {Asn{5}, true, false}});
+    table.resize_origins(origins);
+    for (const auto& [origin, hops] : paths) {
+      std::vector<Asn> path;
+      for (const auto value : hops) path.push_back(Asn{value});
+      table.add_path(origin, path.front() == Asn{1} ? 0 : 1, path);
+    }
+    table.recount();
+    return table;
+  };
+  // Fewer origins than threads, and origin 1 holds most hops, so the
+  // hop-balanced split leaves a chunk empty at 3 threads and more.
+  const auto few = make_table(3, {{0, {1, 2, 3}},
+                                  {1, {1, 2, 2, 4}},
+                                  {1, {5, 2, 2, 2, 4}},
+                                  {1, {1, 6, 4}},
+                                  {1, {5, 6, 6, 4}},
+                                  {2, {5, 3}}});
+  // Origins 0, 2, 3 and 5 hold only paths with a reserved ASN or a loop,
+  // so at 3 and 8 threads whole chunks keep nothing, the first included.
+  const auto dropped =
+      make_table(6, {{0, {1, 2, 64512, 10}}, {0, {5, 6, 5, 10}},
+                     {1, {1, 2, 3, 11}},     {1, {5, 2, 3, 11}},
+                     {2, {1, 2, 1, 12}},     {2, {5, 23456, 3, 12}},
+                     {3, {1, 7, 64513, 13}}, {3, {5, 7, 5, 13}},
+                     {4, {1, 6, 6, 14}},     {4, {5, 6, 4, 14}},
+                     {5, {1, 2, 4, 1}},      {5, {5, 0, 4, 15}}});
+  SanitizeStats stats;
+  EXPECT_EQ(ObservedPaths::build(dropped, &stats, 8).path_count(), 4u);
+  EXPECT_EQ(stats.dropped_loop + stats.dropped_reserved, 8u);
+
+  const std::pair<const char*, const bgp::PathTable*> tables[] = {
+      {"scenario", &test::shared_scenario().paths()},
+      {"few origins", &few},
+      {"dropped chunks", &dropped}};
+  for (const auto& [name, table] : tables) {
+    const std::string serial = rendered(*table, 1);
+    for (const unsigned threads : {2u, 3u, 8u}) {
+      EXPECT_TRUE(rendered(*table, threads) == serial)
+          << name << " differs from serial at threads=" << threads;
+    }
   }
 }
 
@@ -544,10 +606,7 @@ TEST(TopoScope, UsesRequestedGroups) {
 
 TEST(TopoScope, HiddenLinksAreActuallyHidden) {
   const auto& scenario = test::shared_scenario();
-  const auto asrank = run_asrank(scenario.observed());
-  const auto result =
-      run_toposcope(scenario.observed(), asrank, scenario.validation());
-  for (const auto& hidden : result.hidden_links) {
+  for (const auto& hidden : predict_hidden_links(scenario.observed())) {
     EXPECT_EQ(scenario.observed().find_link(hidden.link), kNoLink);
     EXPECT_GT(hidden.confidence, 0.0);
     EXPECT_LE(hidden.confidence, 1.0);
@@ -557,12 +616,10 @@ TEST(TopoScope, HiddenLinksAreActuallyHidden) {
 TEST(TopoScope, SomeHiddenLinksAreRealGroundTruthLinks) {
   // The whole point of the stage: links the collectors miss often exist.
   const auto& scenario = test::shared_scenario();
-  const auto asrank = run_asrank(scenario.observed());
-  const auto result =
-      run_toposcope(scenario.observed(), asrank, scenario.validation());
-  if (result.hidden_links.empty()) GTEST_SKIP() << "no hidden predictions";
+  const auto hidden_links = predict_hidden_links(scenario.observed());
+  if (hidden_links.empty()) GTEST_SKIP() << "no hidden predictions";
   std::size_t real = 0;
-  for (const auto& hidden : result.hidden_links) {
+  for (const auto& hidden : hidden_links) {
     if (scenario.world().graph.find_edge(hidden.link.a, hidden.link.b)) {
       ++real;
     }
@@ -578,7 +635,16 @@ TEST(TopoScope, Deterministic) {
   const auto b =
       run_toposcope(scenario.observed(), asrank, scenario.validation());
   EXPECT_EQ(a.inference.agreement_with(b.inference), 1.0);
-  EXPECT_EQ(a.hidden_links.size(), b.hidden_links.size());
+
+  // Hidden links from a serially rebuilt view match, link and confidence.
+  const auto hidden_a = predict_hidden_links(scenario.observed());
+  const auto hidden_b = predict_hidden_links(
+      ObservedPaths::build(scenario.paths(), nullptr, 1));
+  ASSERT_EQ(hidden_a.size(), hidden_b.size());
+  for (std::size_t i = 0; i < hidden_a.size(); ++i) {
+    EXPECT_EQ(hidden_a[i].link, hidden_b[i].link) << i;
+    EXPECT_EQ(hidden_a[i].confidence, hidden_b[i].confidence) << i;
+  }
 }
 
 // ---------------------------------------------------------------- common --

@@ -33,6 +33,7 @@
 #include "infer/toposcope.hpp"
 #include "validation/extract.hpp"
 #include "io/snapshot.hpp"
+#include "observed_oracle.hpp"
 #include "serve/query_engine.hpp"
 #include "test_support.hpp"
 #include "testing/canonical.hpp"
@@ -372,7 +373,12 @@ std::string stage_bytes_at(const core::Scenario& scenario,
            std::to_string(stats.tags_survived) + '|' +
            std::to_string(stats.tags_decoded) + '\n';
 
-  // Stages 3+4: the learning classifiers.
+  // Stage 3: sanitize, with hops, slots, link order, degrees and first hops.
+  infer::SanitizeStats sanitize;
+  const auto observed = infer::ObservedPaths::build(table, &sanitize, threads);
+  bytes += test::render_observed(observed, sanitize);
+
+  // Stages 4+5: the learning classifiers.
   infer::ProbLinkParams problink;
   problink.threads = threads;
   append_rel(infer::run_problink(scenario.observed(), asrank,
@@ -384,7 +390,7 @@ std::string stage_bytes_at(const core::Scenario& scenario,
                                   scenario.validation(), toposcope)
                  .inference);
 
-  // Stage 5: the audit's per-class tabulation.
+  // Stage 6: the audit's per-class tabulation.
   const core::BiasAudit audit{scenario, threads};
   bytes += eval::render_coverage(audit.regional_coverage());
   bytes += eval::render_coverage(audit.topological_coverage());

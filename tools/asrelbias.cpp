@@ -167,7 +167,8 @@ int cmd_infer(const Args& args) {
   std::fprintf(stderr, "parsed %zu routes (%zu malformed), %zu peers\n",
                stats.routes, stats.malformed,
                table.vantage_points().size());
-  const auto observed = infer::ObservedPaths::build(table);
+  const auto observed =
+      infer::ObservedPaths::build(table, nullptr, args.threads);
   std::fprintf(stderr, "sanitized: %zu paths, %zu ASes, %zu links\n",
                observed.path_count(), observed.as_count(),
                observed.link_count());
@@ -215,7 +216,8 @@ int cmd_infer(const Args& args) {
     auto result = infer::run_toposcope(observed, base, training, params);
     std::fprintf(stderr,
                  "toposcope used %d VP groups, predicted %zu hidden links\n",
-                 result.groups_used, result.hidden_links.size());
+                 result.groups_used,
+                 infer::predict_hidden_links(observed).size());
     inference = std::move(result.inference);
   } else {
     std::fprintf(stderr, "unknown --algo %s\n", args.algo.c_str());
