@@ -1,11 +1,12 @@
-// Fuzz target: the binary snapshot reader (src/io/snapshot).
+// Fuzz target: the flat (v3) snapshot reader (src/io/flat_snapshot).
 //
-// Oracle: parsing never crashes, and any accepted input is in canonical
-// form — re-serializing the parsed snapshot must reproduce the input
-// byte-for-byte. The decoder rejects everything non-canonical (unknown
-// flag bits, out-of-range enum codes, unordered links, trailing bytes),
-// so accept + re-encode-differs means either the encoder or the decoder
-// lost information.
+// Oracle (testing::check_flat_reader): every input is opened both
+// structural-only and with the deep checksum pass. Every rejection must
+// give a reason, and every accepted image is walked through every
+// FlatView accessor — each record, find_* for each stored key,
+// neighbors(), string_at / class_name / algorithm_name, algo_labels.
+// ASan/UBSan judge the walk: the structural open promises memory safety
+// on arbitrary bytes, so any out-of-bounds read is a reader bug.
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -14,26 +15,14 @@
 #include <string_view>
 #include <vector>
 
-#include "io/snapshot.hpp"
+#include "testing/flat_oracle.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string_view bytes{reinterpret_cast<const char*>(data), size};
-  std::string error;
-  const auto snapshot = asrel::io::parse_snapshot_bytes(bytes, &error);
-  if (!snapshot.has_value()) {
-    if (error.empty()) {
-      std::fprintf(stderr, "fuzz_snapshot: rejection without a reason\n");
-      std::abort();
-    }
-    return 0;
-  }
-  const std::string round = asrel::io::to_snapshot_bytes(*snapshot);
-  if (round != bytes) {
-    std::fprintf(stderr,
-                 "fuzz_snapshot: accepted input is not canonical "
-                 "(in=%zu bytes, out=%zu bytes)\n",
-                 bytes.size(), round.size());
+  if (const auto failure = asrel::testing::check_flat_reader(bytes)) {
+    std::fprintf(stderr, "fuzz_snapshot: %s (%zu-byte input)\n",
+                 failure->c_str(), size);
     std::abort();
   }
   return 0;
@@ -41,77 +30,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
 std::vector<std::string> asrel_fuzz_seeds() {
   using namespace asrel;
-
-  io::Snapshot snapshot;
-  snapshot.meta.as_count = 4;
-  snapshot.meta.seed = 7;
-  snapshot.meta.scheme_seed = 11;
-  snapshot.meta.epoch = 3;
-  snapshot.meta.built_unix_ms = 1700000000000ull;
-  snapshot.class_names = {"T1-T1", "T1-TR", "unknown"};
-
-  const asn::Asn a1{101}, a2{202}, a3{303}, a4{404};
-  for (const auto& [asn, tier] :
-       {std::pair{a1, topo::Tier::kClique}, {a2, topo::Tier::kMidTransit},
-        {a3, topo::Tier::kStub}, {a4, topo::Tier::kStub}}) {
-    io::SnapshotAs as;
-    as.asn = asn;
-    as.attrs.region = rir::Region::kRipe;
-    as.attrs.country = "DE";
-    as.attrs.tier = tier;
-    as.attrs.stub_kind = tier == topo::Tier::kStub
-                             ? topo::StubKind::kEyeball
-                             : topo::StubKind::kNotStub;
-    as.attrs.documents_communities = asn == a1;
-    as.attrs.prepend_propensity = 0.25;
-    as.transit_degree = 2;
-    as.node_degree = 3;
-    as.cone_size = 1;
-    snapshot.ases.push_back(std::move(as));
-  }
-
-  io::SnapshotEdge edge;
-  edge.a = a1;
-  edge.b = a2;
-  edge.rel = topo::RelType::kP2C;
-  edge.scope = topo::ExportScope::kFull;
-  edge.scope_via_community = true;
-  snapshot.edges.push_back(edge);
-  edge = io::SnapshotEdge{};
-  edge.a = a2;
-  edge.b = a3;
-  edge.rel = topo::RelType::kP2P;
-  edge.misdocumented = true;
-  edge.hybrid_rel = topo::RelType::kP2C;
-  snapshot.edges.push_back(edge);
-
-  snapshot.clique = {a1};
-  snapshot.hypergiants = {a4};
-
-  val::CleanLabel label;
-  label.link = val::AsLink{a1, a2};
-  label.rel = topo::RelType::kP2C;
-  label.provider = a1;
-  snapshot.validation.push_back(label);
-
-  io::SnapshotAlgorithm algorithm;
-  algorithm.name = "asrank";
-  label.link = val::AsLink{a2, a3};
-  label.rel = topo::RelType::kP2P;
-  label.provider = asn::Asn{0};
-  algorithm.labels.push_back(label);
-  snapshot.algorithms.push_back(std::move(algorithm));
-
-  io::SnapshotLinkTag tag;
-  tag.link = val::AsLink{a1, a2};
-  tag.regional_class = 0;
-  tag.topological_class = 1;
-  snapshot.links.push_back(tag);
-
   std::vector<std::string> seeds;
-  seeds.push_back(io::to_snapshot_bytes(snapshot));
+  seeds.push_back(io::to_snapshot_bytes(testing::tiny_snapshot()));
 
-  // An empty-but-valid snapshot: header plus all-zero section counts.
+  // An empty-but-valid snapshot: header plus empty sections.
   seeds.push_back(io::to_snapshot_bytes(io::Snapshot{}));
 
   // A header-only truncation and a bad-magic prefix keep the cheap reject

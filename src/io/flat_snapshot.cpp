@@ -13,6 +13,7 @@
 
 #include "io/atomic_file.hpp"
 #include "io/wire.hpp"
+#include "serve/fault_inject.hpp"
 
 namespace asrel::io {
 
@@ -99,7 +100,7 @@ std::uint64_t append_section(std::string& out, const std::vector<T>& v) {
 
 }  // namespace
 
-std::string to_flat_snapshot_bytes(const Snapshot& snapshot) {
+std::string to_snapshot_bytes(const Snapshot& snapshot) {
   PoolBuilder pool;
 
   std::vector<flat::StrRef> class_refs;
@@ -342,8 +343,9 @@ std::string to_flat_snapshot_bytes(const Snapshot& snapshot) {
 
 bool save_flat_snapshot_file(const Snapshot& snapshot,
                              const std::string& path, std::string* error) {
-  return write_file_atomic(to_flat_snapshot_bytes(snapshot), path, error,
-                           snapshot_io_write_cap());
+  return write_file_atomic(
+      to_snapshot_bytes(snapshot), path, error,
+      serve::fault::FaultInjector::instance().snapshot_write_cap());
 }
 
 // ---- FlatView ----
@@ -355,13 +357,14 @@ FlatView::~FlatView() {
 namespace {
 
 /// Section bounds check: [off, off + count * elem) inside the file, with
-/// the element's natural alignment.
+/// the element's natural alignment. `off` is checked against the file
+/// size before the subtraction, so a huge offset cannot wrap around.
 [[nodiscard]] bool section_ok(std::uint64_t off, std::uint64_t count,
                               std::uint64_t elem, std::uint64_t align,
                               std::size_t file_size) {
   if (off % align != 0 || off < sizeof(flat::Header)) return false;
-  if (count > (file_size - off) / elem) return false;
-  return off + count * elem <= file_size;
+  if (off > file_size) return false;
+  return count <= (file_size - off) / elem;
 }
 
 }  // namespace
@@ -487,9 +490,8 @@ std::shared_ptr<const FlatView> FlatView::open_file(const std::string& path,
     return fail("cannot stat " + path);
   }
   const auto size = static_cast<std::size_t>(st.st_size);
-  // Chaos parity with the v2 loader: a capped read behaves like a
-  // truncated file and fails validation.
-  if (snapshot_io_read_cap() < size) {
+  // Fault injection: a capped (torn) read fails like a truncated file.
+  if (serve::fault::FaultInjector::instance().snapshot_read_cap() < size) {
     ::close(fd);
     if (error != nullptr) *error = "torn read (fault injection cap)";
     return nullptr;
@@ -639,103 +641,6 @@ std::pair<const std::uint32_t*, const std::uint32_t*> FlatView::neighbors(
   if (begin > total) begin = total;
   if (end > total || end < begin) end = begin;
   return {csr_entries_ + begin, csr_entries_ + end};
-}
-
-Snapshot FlatView::to_snapshot() const {
-  const flat::Header& h = *header_;
-  Snapshot snapshot;
-  snapshot.meta.as_count = h.as_count;
-  snapshot.meta.seed = h.seed;
-  snapshot.meta.scheme_seed = h.scheme_seed;
-  snapshot.meta.epoch = h.epoch;
-  snapshot.meta.built_unix_ms = h.built_unix_ms;
-
-  snapshot.class_names.reserve(h.n_class_names);
-  for (std::uint32_t i = 0; i < h.n_class_names; ++i) {
-    snapshot.class_names.emplace_back(class_name(i));
-  }
-
-  snapshot.ases.reserve(h.n_ases);
-  for (std::uint32_t i = 0; i < h.n_ases; ++i) {
-    const flat::As& src = ases_[i];
-    SnapshotAs as;
-    as.asn = asn::Asn{src.asn};
-    as.attrs.region = static_cast<rir::Region>(src.region);
-    as.attrs.tier = static_cast<topo::Tier>(src.tier);
-    as.attrs.stub_kind = static_cast<topo::StubKind>(src.stub_kind);
-    as.attrs.hypergiant = src.flags & flat::kAsFlagHypergiant;
-    as.attrs.documents_communities = src.flags & flat::kAsFlagDocuments;
-    as.attrs.maintains_rpsl = src.flags & flat::kAsFlagRpsl;
-    as.attrs.attends_meetings = src.flags & flat::kAsFlagMeetings;
-    as.attrs.strips_communities = src.flags & flat::kAsFlagStrips;
-    as.attrs.country = std::string{string_at(src.country)};
-    as.attrs.prepend_propensity = src.prepend_propensity;
-    as.transit_degree = src.transit_degree;
-    as.node_degree = src.node_degree;
-    as.cone_size = src.cone_size;
-    snapshot.ases.push_back(std::move(as));
-  }
-
-  snapshot.edges.reserve(h.n_edges);
-  for (std::uint32_t i = 0; i < h.n_edges; ++i) {
-    const flat::Edge& src = edges_[i];
-    SnapshotEdge edge;
-    edge.a = asn::Asn{src.a};
-    edge.b = asn::Asn{src.b};
-    edge.rel = static_cast<topo::RelType>(src.rel);
-    edge.scope = static_cast<topo::ExportScope>(src.scope);
-    edge.scope_via_community = src.flags & flat::kEdgeFlagScopeCommunity;
-    edge.misdocumented = src.flags & flat::kEdgeFlagMisdocumented;
-    if (src.flags & flat::kEdgeFlagHybrid) {
-      edge.hybrid_rel = static_cast<topo::RelType>(src.hybrid);
-    }
-    snapshot.edges.push_back(edge);
-  }
-
-  snapshot.clique.reserve(h.n_clique);
-  for (std::uint32_t i = 0; i < h.n_clique; ++i) {
-    snapshot.clique.push_back(asn::Asn{clique_[i]});
-  }
-  snapshot.hypergiants.reserve(h.n_hypergiants);
-  for (std::uint32_t i = 0; i < h.n_hypergiants; ++i) {
-    snapshot.hypergiants.push_back(asn::Asn{hypergiants_[i]});
-  }
-
-  const auto from_label = [](const flat::Label& src) {
-    val::CleanLabel label;
-    label.link = val::AsLink{asn::Asn{src.a}, asn::Asn{src.b}};
-    label.rel = static_cast<topo::RelType>(src.rel);
-    label.provider = asn::Asn{src.provider};
-    return label;
-  };
-  snapshot.validation.reserve(h.n_validation);
-  for (std::uint32_t i = 0; i < h.n_validation; ++i) {
-    snapshot.validation.push_back(from_label(validation_[i]));
-  }
-
-  snapshot.algorithms.reserve(h.n_algorithms);
-  for (std::uint32_t a = 0; a < h.n_algorithms; ++a) {
-    const flat::Algo& entry = algorithms_[a];
-    SnapshotAlgorithm algorithm;
-    algorithm.name = std::string{string_at(entry.name)};
-    const flat::Label* labels = algo_labels(entry);
-    algorithm.labels.reserve(entry.labels_count);
-    for (std::uint64_t i = 0; i < entry.labels_count; ++i) {
-      algorithm.labels.push_back(from_label(labels[i]));
-    }
-    snapshot.algorithms.push_back(std::move(algorithm));
-  }
-
-  snapshot.links.reserve(h.n_links);
-  for (std::uint32_t i = 0; i < h.n_links; ++i) {
-    const flat::LinkTag& src = links_[i];
-    SnapshotLinkTag tag;
-    tag.link = val::AsLink{asn::Asn{src.a}, asn::Asn{src.b}};
-    tag.regional_class = src.regional_class;
-    tag.topological_class = src.topological_class;
-    snapshot.links.push_back(tag);
-  }
-  return snapshot;
 }
 
 }  // namespace asrel::io

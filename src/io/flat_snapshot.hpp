@@ -1,10 +1,9 @@
-// Snapshot v3: a flat, mmap-able image of one snapshot.
+// Snapshot v3: the one on-disk form of an io::Snapshot, a flat,
+// mmap-able image.
 //
-// The v2 codec (io/snapshot) is a streaming format: loading it parses
-// every record into std::vectors — good for evolution, but reload cost
-// grows with the topology. v3 lays the same data out as fixed-width
-// little-endian records with the hash indexes *precomputed in the file*,
-// and is the query engine's only representation:
+// The data is laid out as fixed-width little-endian records with the
+// hash indexes *precomputed in the file*, so a reader maps it and serves
+// it in place; it is the query engine's only representation:
 //
 //   [Header]                 fixed 264 bytes: magic "ASRELFL3", version,
 //                            sizes, meta, counts, section offsets
@@ -26,12 +25,14 @@
 // casts section pointers to the record structs below — zero parse, zero
 // allocation. Opening is O(#sections): magic/version/size checks plus
 // per-section bounds validation. A deep pass (fnv1a64 over everything
-// after the header, same polynomial as v2) is optional: the atomic
-// write protocol (tmp + fsync + rename) means a file that exists at the
-// final path was written completely, so the hot-reload path can skip
-// the checksum and swap snapshots in microseconds. Structural open
-// guarantees memory safety on arbitrary bytes (probes are capped,
-// string refs clamped); semantic integrity needs the deep verify.
+// after the header) is optional: the atomic write protocol (tmp + fsync
+// + rename) means a file that exists at the final path was written
+// completely, so the hot-reload path can skip the checksum and swap
+// snapshots in microseconds. Structural open guarantees memory safety on
+// arbitrary bytes (probes are capped, string refs clamped); semantic
+// integrity needs the deep verify. The reader does not range-check enum
+// codes: an out-of-range region, tier or relationship renders as "?" /
+// "unknown" wherever it is shown.
 //
 // Hash tables: power-of-two capacity at most 1/2 load, SplitMix64
 // finalizer, linear probing, u32 slots holding record indexes with
@@ -87,7 +88,7 @@ struct StrRef {
 };
 static_assert(sizeof(StrRef) == 8);
 
-// AS-attribute and edge flag bits (same values as the v2 codec).
+// AS-attribute and edge flag bits.
 inline constexpr std::uint8_t kAsFlagHypergiant = 1u << 0;
 inline constexpr std::uint8_t kAsFlagDocuments = 1u << 1;
 inline constexpr std::uint8_t kAsFlagRpsl = 1u << 2;
@@ -202,11 +203,9 @@ static_assert(sizeof(Header) == 264 && alignof(Header) == 8);
 
 }  // namespace flat
 
-/// Serializes a snapshot into the flat v3 image.
-[[nodiscard]] std::string to_flat_snapshot_bytes(const Snapshot& snapshot);
-
-/// to_flat_snapshot_bytes + the tmp/fsync/rename protocol of
-/// io/atomic_file. Honors the chaos write cap like the v2 saver.
+/// to_snapshot_bytes (declared in io/snapshot.hpp) + the tmp/fsync/rename
+/// protocol of io/atomic_file. Honors the fault injector's snapshot write
+/// cap (serve/fault_inject.hpp).
 [[nodiscard]] bool save_flat_snapshot_file(const Snapshot& snapshot,
                                            const std::string& path,
                                            std::string* error);
@@ -222,8 +221,8 @@ class FlatView {
   /// mmaps `path` and validates the structure. `deep_verify` additionally
   /// checks the full payload checksum — required for untrusted bytes,
   /// skippable on the hot-reload path (atomic rename guarantees a
-  /// complete file). Honors the chaos read cap: a capped (torn) read
-  /// fails like a truncated file.
+  /// complete file). Honors the fault injector's snapshot read cap: a
+  /// capped (torn) read fails like a truncated file.
   [[nodiscard]] static std::shared_ptr<const FlatView> open_file(
       const std::string& path, std::string* error, bool deep_verify = true);
 
@@ -274,10 +273,6 @@ class FlatView {
 
   /// Full deep checksum pass (what open(deep_verify=true) runs).
   [[nodiscard]] bool verify(std::string* error = nullptr) const;
-
-  /// Inflates back into the v2 in-memory Snapshot. Only the round-trip
-  /// test uses it, to show v3 carries every v2 field. O(records).
-  [[nodiscard]] Snapshot to_snapshot() const;
 
  private:
   FlatView() = default;

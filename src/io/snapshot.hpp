@@ -1,4 +1,4 @@
-// Versioned binary snapshot of one scenario's precomputed artifacts.
+// One scenario's precomputed artifacts, in memory.
 //
 // A snapshot is everything the serving layer (src/serve) needs to answer
 // per-link and aggregate bias queries without re-running the pipeline:
@@ -9,19 +9,14 @@
 // batch-vs-serve split CAIDA makes by publishing serial-2 as-rel files
 // instead of asking consumers to re-run ASRank.
 //
-// Format (all integers little-endian, fixed width):
-//   magic "ASRELSNP" | version u32 | payload_size u64 | fnv1a64 u64 |
-//   payload. The checksum covers the payload only, so truncation and
-//   bit-flips are both detected before any section is trusted. Counts are
-//   validated against the remaining payload size while parsing, so a
-//   corrupted count fails cleanly instead of allocating garbage.
+// The builders (core::build_snapshot, stream::StreamSession) produce this
+// struct; its one on-disk encoding is the flat v3 image of
+// io/flat_snapshot.hpp, which to_snapshot_bytes() writes.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "asn/asn.hpp"
@@ -32,11 +27,6 @@
 #include "validation/label.hpp"
 
 namespace asrel::io {
-
-inline constexpr std::string_view kSnapshotMagic = "ASRELSNP";
-/// v2 added epoch + built_unix_ms to the meta section (streaming
-/// publication). v1 files are no longer readable; regenerate them.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Enough provenance to tell two snapshots apart and to refuse mixing
 /// artifacts from different worlds.
@@ -113,46 +103,9 @@ struct Snapshot {
   std::vector<SnapshotLinkTag> links;       ///< observed links, first-seen order
 };
 
-/// Serialization is deterministic: the same Snapshot value always produces
-/// byte-identical output.
-void write_snapshot(const Snapshot& snapshot, std::ostream& out);
+/// Encodes `snapshot` as a flat v3 image (io/flat_snapshot.hpp).
+/// Deterministic: the same Snapshot value always produces byte-identical
+/// output, so comparing the bytes of two snapshots compares every field.
 [[nodiscard]] std::string to_snapshot_bytes(const Snapshot& snapshot);
-
-/// Returns nullopt and fills `*error` (if given) with a one-line diagnosis
-/// for wrong magic, unsupported version, truncation, checksum mismatch, or
-/// any structurally invalid section.
-[[nodiscard]] std::optional<Snapshot> read_snapshot(
-    std::istream& in, std::string* error = nullptr);
-[[nodiscard]] std::optional<Snapshot> parse_snapshot_bytes(
-    std::string_view bytes, std::string* error = nullptr);
-
-/// Convenience file wrappers (open + read/write + diagnose open failures).
-///
-/// save_snapshot_file is crash-safe: bytes go to `path + ".tmp"`, are
-/// fsync'd, and are renamed over `path` in one atomic step (then the
-/// directory is fsync'd so the rename itself is durable). A crash or
-/// write failure at any point leaves either the old file or no file at
-/// `path` — never a half-written snapshot — and the reader independently
-/// rejects torn files via the header's payload size + checksum.
-[[nodiscard]] bool save_snapshot_file(const Snapshot& snapshot,
-                                      const std::string& path,
-                                      std::string* error = nullptr);
-[[nodiscard]] std::optional<Snapshot> load_snapshot_file(
-    const std::string& path, std::string* error = nullptr);
-
-/// Fault-injection hooks (see serve/fault_inject.*): when set, file reads
-/// are truncated to read_cap() bytes and file writes fail after
-/// write_cap() bytes, simulating torn I/O. Null members = no limit.
-/// Not for production use; installed/cleared by FaultInjector.
-struct SnapshotIoHooks {
-  std::size_t (*read_cap)() = nullptr;
-  std::size_t (*write_cap)() = nullptr;
-};
-void set_snapshot_io_hooks(SnapshotIoHooks hooks);
-
-/// Current hook values (SIZE_MAX when unhooked) — so sibling formats
-/// (the flat v3 codec) honor the same chaos caps as this one.
-[[nodiscard]] std::size_t snapshot_io_read_cap();
-[[nodiscard]] std::size_t snapshot_io_write_cap();
 
 }  // namespace asrel::io

@@ -1,10 +1,10 @@
 // Shared little-endian wire codec for the repo's binary file formats.
 //
-// Extracted from the snapshot codec so other formats (the stream
-// checkpoint, src/stream/checkpoint) serialize with byte-compatible
+// The stream checkpoint (src/stream/checkpoint) serializes with these
 // primitives: fixed-width little-endian integers, IEEE-754 doubles by bit
 // pattern, length-prefixed strings, and an FNV-1a checksum over the
-// payload. Decoding goes through Cursor, a bounds-checked reader whose
+// payload; the flat snapshot (io/flat_snapshot) stamps the same
+// checksum. Decoding goes through Cursor, a bounds-checked reader whose
 // getters all become no-ops after the first failure — callers check once
 // per section instead of once per field — and whose get_count guards
 // element counts against the bytes actually remaining, so a corrupted

@@ -30,9 +30,8 @@ namespace asrel::serve {
 class EngineHub {
  public:
   /// Produces the next engine on reload. The daemon's loader mmaps the
-  /// flat file (microseconds); a v2 file loader parses the snapshot and
-  /// wraps it in a QueryEngine. Returns nullptr + error to abort the
-  /// reload and keep the current epoch live.
+  /// flat file with a structural-only open (microseconds). Returns
+  /// nullptr + error to abort the reload and keep the current epoch live.
   using EngineLoader = std::function<std::shared_ptr<const QueryEngine>(
       std::string* error)>;
 

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <string>
 
-#include "io/snapshot.hpp"
 #include "obs/metrics.hpp"
 
 namespace asrel::serve::fault {
@@ -111,17 +110,11 @@ void FaultInjector::arm(const FaultPlan& plan) {
   stream_apply_faults_.store(0, std::memory_order_relaxed);
   stream_divergence_faults_.store(0, std::memory_order_relaxed);
   writev_faults_.store(0, std::memory_order_relaxed);
-  io::set_snapshot_io_hooks(io::SnapshotIoHooks{
-      .read_cap = [] { return FaultInjector::instance().snapshot_read_cap(); },
-      .write_cap =
-          [] { return FaultInjector::instance().snapshot_write_cap(); },
-  });
   enabled_.store(true, std::memory_order_release);
 }
 
 void FaultInjector::disarm() {
   enabled_.store(false, std::memory_order_release);
-  io::set_snapshot_io_hooks(io::SnapshotIoHooks{});
 }
 
 FaultStats FaultInjector::stats() const {

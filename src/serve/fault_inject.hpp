@@ -7,7 +7,9 @@
 // server and the raw syscalls: every socket call in HttpServer and every
 // snapshot file read/write routes through FaultInjector, which either
 // passes straight through (the always-compiled-in, zero-cost-when-idle
-// path: one relaxed atomic load) or consults a seeded plan.
+// path: one relaxed atomic load) or consults a seeded plan. It is its
+// own library (asrel_fault, linking only asrel_obs), so the snapshot
+// codec and the stream layer consult it without linking the server.
 //
 // Determinism contract: the decision for the Nth call at a given site is
 // a pure function of (seed, site, N) — SplitMix64 over a per-site call
@@ -106,7 +108,7 @@ class FaultInjector {
   static FaultInjector& instance();
 
   /// Installs `plan`, resets per-site counters and stats, and enables
-  /// injection. Also installs the snapshot I/O hooks (io::snapshot).
+  /// injection.
   void arm(const FaultPlan& plan);
   /// Disables injection; wrappers revert to raw syscalls.
   void disarm();
@@ -131,7 +133,7 @@ class FaultInjector {
   [[nodiscard]] ssize_t writev(int fd, const struct iovec* iov, int iovcnt);
   [[nodiscard]] int accept(int fd);
 
-  // ---- snapshot I/O caps (consulted by io::snapshot via hooks) ----
+  // ---- snapshot I/O caps (consulted by io/flat_snapshot directly) ----
   /// Bytes a snapshot file read may return before simulated truncation.
   [[nodiscard]] std::size_t snapshot_read_cap();
   /// Bytes a snapshot file write may persist before simulated failure.

@@ -54,7 +54,7 @@ void append_class_metrics_json(JsonWriter& json,
 /// the encoder's bytes is a programming error, never bad input.
 std::shared_ptr<const io::FlatView> encode_flat(const io::Snapshot& snapshot) {
   std::string error;
-  auto view = io::FlatView::from_bytes(io::to_flat_snapshot_bytes(snapshot),
+  auto view = io::FlatView::from_bytes(io::to_snapshot_bytes(snapshot),
                                        &error, /*deep_verify=*/false);
   if (view == nullptr) {
     throw std::logic_error{"flat snapshot encoder/reader mismatch: " + error};

@@ -38,7 +38,7 @@ std::string snapshot_digest_json(std::string_view flat_bytes) {
 std::vector<GoldenReport> build_golden_reports(
     const core::Scenario& scenario) {
   const io::Snapshot snapshot = core::build_snapshot(scenario);
-  const std::string flat = io::to_flat_snapshot_bytes(snapshot);
+  const std::string flat = io::to_snapshot_bytes(snapshot);
   const serve::QueryEngine engine{snapshot};
 
   const auto report = [&](const char* filename, const std::string& key) {

@@ -32,12 +32,14 @@
 
 #include "core/scenario.hpp"
 #include "core/snapshot_builder.hpp"
-#include "io/snapshot.hpp"
+#include "io/atomic_file.hpp"
+#include "io/flat_snapshot.hpp"
 #include "serve/engine_hub.hpp"
 #include "serve/fault_inject.hpp"
 #include "serve/http_server.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/service.hpp"
+#include "testing/flat_oracle.hpp"
 
 namespace asrel {
 namespace {
@@ -193,51 +195,64 @@ TEST(Chaos, TornSnapshotWritesNeverCorruptTheServedFile) {
   const std::string bytes = io::to_snapshot_bytes(snapshot);
   std::string error;
 
-  // Exhaustive torn-read coverage: a snapshot truncated at EVERY byte
-  // boundary is rejected. Cheap because the header's payload_size check
-  // fails O(1) before any section is parsed.
-  for (std::size_t length = 0; length < bytes.size(); ++length) {
-    ASSERT_FALSE(io::parse_snapshot_bytes(
-        std::string_view{bytes}.substr(0, length)))
-        << "prefix of " << length << " bytes parsed";
+  // Torn-read coverage: a truncated image fails the structural open
+  // alone, in O(1), on the header's file size. Every prefix of a small
+  // image that has every section is tried, then every 61st prefix of the
+  // served image and each of its last 64 (each open copies its prefix,
+  // so a sweep of all of them would be quadratic).
+  const std::string tiny = io::to_snapshot_bytes(testing::tiny_snapshot());
+  for (std::size_t length = 0; length < tiny.size(); ++length) {
+    ASSERT_EQ(io::FlatView::from_bytes(tiny.substr(0, length), nullptr,
+                                       /*deep_verify=*/false),
+              nullptr)
+        << "prefix of " << length << " bytes of the tiny image opened";
+  }
+  for (std::size_t length = 0; length < bytes.size();
+       length += length + 64 < bytes.size() ? 61 : 1) {
+    ASSERT_EQ(io::FlatView::from_bytes(bytes.substr(0, length), nullptr,
+                                       /*deep_verify=*/false),
+              nullptr)
+        << "prefix of " << length << " bytes opened";
   }
 
   const std::string path = ::testing::TempDir() + "/asrel_chaos_snapshot.bin";
-  ASSERT_TRUE(io::save_snapshot_file(snapshot, path, &error)) << error;
+  ASSERT_TRUE(io::save_flat_snapshot_file(snapshot, path, &error)) << error;
 
   // Fault-injected writes that die mid-file (simulated ENOSPC at a range
   // of byte caps) must fail loudly, leave no temp file behind, and leave
   // the published file byte-identical — the crash-safe rename never ran.
   const std::vector<std::size_t> write_caps{
-      0, 1, 27, 28, 100, bytes.size() / 2, bytes.size() - 1};
+      0, 1, sizeof(io::flat::Header) - 1, sizeof(io::flat::Header), 1000,
+      bytes.size() / 2, bytes.size() - 1};
   for (const std::size_t cap : write_caps) {
     serve::fault::FaultPlan plan;
     plan.seed = chaos_seed();
     plan.snapshot_write_cap = cap;
     serve::fault::ScopedFaults faults{plan};
     error.clear();
-    EXPECT_FALSE(io::save_snapshot_file(snapshot, path, &error))
+    EXPECT_FALSE(io::save_flat_snapshot_file(snapshot, path, &error))
         << "cap " << cap;
     EXPECT_FALSE(error.empty());
   }
   EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0)
       << "failed save left a temp file";
-  auto reloaded = io::load_snapshot_file(path, &error);
-  ASSERT_TRUE(reloaded.has_value()) << error;
-  EXPECT_EQ(io::to_snapshot_bytes(*reloaded), bytes);
+  const auto on_disk = io::read_file_capped(path, &error);
+  ASSERT_TRUE(on_disk.has_value()) << error;
+  EXPECT_EQ(*on_disk, bytes);
+  EXPECT_NE(io::FlatView::open_file(path, &error), nullptr) << error;
   EXPECT_GT(serve::fault::FaultInjector::instance().stats()
                 .snapshot_write_faults,
             0u);
 
   // Torn reads (file truncated under the reader) are rejected too.
   for (const std::size_t cap : {std::size_t{0}, std::size_t{10},
-                                std::size_t{28}, bytes.size() - 1}) {
+                                sizeof(io::flat::Header), bytes.size() - 1}) {
     serve::fault::FaultPlan plan;
     plan.seed = chaos_seed();
     plan.snapshot_read_cap = cap;
     serve::fault::ScopedFaults faults{plan};
     error.clear();
-    EXPECT_FALSE(io::load_snapshot_file(path, &error)) << "cap " << cap;
+    EXPECT_EQ(io::FlatView::open_file(path, &error), nullptr) << "cap " << cap;
     EXPECT_FALSE(error.empty());
   }
 
@@ -248,9 +263,10 @@ TEST(Chaos, TornSnapshotWritesNeverCorruptTheServedFile) {
       std::make_shared<const serve::QueryEngine>(snapshot),
       [path](std::string* load_error)
           -> std::shared_ptr<const serve::QueryEngine> {
-        const auto next = io::load_snapshot_file(path, load_error);
-        if (!next) return nullptr;
-        return std::make_shared<const serve::QueryEngine>(*next);
+        auto next =
+            io::FlatView::open_file(path, load_error, /*deep_verify=*/false);
+        if (next == nullptr) return nullptr;
+        return std::make_shared<const serve::QueryEngine>(std::move(next));
       }};
   EXPECT_EQ(hub.epoch(), 1u);
   {
@@ -282,9 +298,9 @@ TEST(Chaos, ReloadUnderLoadLosesZeroRequests) {
   const auto hub = std::make_shared<serve::EngineHub>(
       std::make_shared<const serve::QueryEngine>(snapshot),
       [bytes](std::string* error) -> std::shared_ptr<const serve::QueryEngine> {
-        const auto next = io::parse_snapshot_bytes(bytes, error);
-        if (!next) return nullptr;
-        return std::make_shared<const serve::QueryEngine>(*next);
+        auto next = io::FlatView::from_bytes(bytes, error);
+        if (next == nullptr) return nullptr;
+        return std::make_shared<const serve::QueryEngine>(std::move(next));
       });
   serve::AsrelService service{hub};
 

@@ -414,7 +414,7 @@ TEST(EpollChaos, FlatReloadUnderPipelinedLoadLosesZeroRequests) {
   ASSERT_TRUE(io::save_flat_snapshot_file(snapshot, path, &error)) << error;
 
   // The microsecond reload path: mmap + structural checks only, exactly
-  // what the daemon's --flat-snapshot loader does.
+  // what the daemon's reload loader does.
   const auto initial = io::FlatView::open_file(path, &error);
   ASSERT_NE(initial, nullptr) << error;
   const auto hub = std::make_shared<serve::EngineHub>(

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <latch>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -21,12 +20,15 @@
 #include "core/bias_audit.hpp"
 #include "core/snapshot_builder.hpp"
 #include "infer/asrank.hpp"
-#include "io/snapshot.hpp"
+#include "flat_inflate.hpp"
+#include "io/atomic_file.hpp"
+#include "io/flat_snapshot.hpp"
 #include "serve/http_server.hpp"
 #include "serve/lru_cache.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/service.hpp"
 #include "test_support.hpp"
+#include "testing/flat_oracle.hpp"
 
 namespace asrel {
 namespace {
@@ -47,56 +49,68 @@ const serve::QueryEngine& shared_engine() {
 
 // ---------------------------------------------------------------- snapshot
 
+/// Section-by-section equality, in the order of the stream watchdog's
+/// first_diff_section (the defaulted operator==s compare every field).
+void expect_same_sections(const io::Snapshot& got, const io::Snapshot& want) {
+  EXPECT_TRUE(got.meta == want.meta) << "meta";
+  EXPECT_TRUE(got.class_names == want.class_names) << "class_names";
+  EXPECT_TRUE(got.ases == want.ases) << "ases";
+  EXPECT_TRUE(got.edges == want.edges) << "edges";
+  EXPECT_TRUE(got.clique == want.clique) << "clique";
+  EXPECT_TRUE(got.hypergiants == want.hypergiants) << "hypergiants";
+  EXPECT_TRUE(got.validation == want.validation) << "validation";
+  EXPECT_TRUE(got.algorithms == want.algorithms) << "algorithms";
+  EXPECT_TRUE(got.links == want.links) << "links";
+}
+
 TEST(Snapshot, RoundTripIsIdentity) {
-  const io::Snapshot& original = shared_snapshot();
-  const std::string bytes = io::to_snapshot_bytes(original);
-  ASSERT_GT(bytes.size(), 28u);  // header alone is 28 bytes
-
-  std::string error;
-  const auto loaded = io::parse_snapshot_bytes(bytes, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-
-  // Deterministic serialization makes "re-serialize and compare bytes" a
-  // full structural-equality check without operator== on every struct.
-  EXPECT_EQ(io::to_snapshot_bytes(*loaded), bytes);
-
-  EXPECT_EQ(loaded->meta.as_count, original.meta.as_count);
-  EXPECT_EQ(loaded->meta.seed, original.meta.seed);
-  EXPECT_EQ(loaded->ases.size(), original.ases.size());
-  EXPECT_EQ(loaded->edges.size(), original.edges.size());
-  EXPECT_EQ(loaded->links.size(), original.links.size());
-  EXPECT_EQ(loaded->validation.size(), original.validation.size());
-  ASSERT_EQ(loaded->algorithms.size(), original.algorithms.size());
-  for (std::size_t i = 0; i < original.algorithms.size(); ++i) {
-    EXPECT_EQ(loaded->algorithms[i].name, original.algorithms[i].name);
-    EXPECT_EQ(loaded->algorithms[i].labels.size(),
-              original.algorithms[i].labels.size());
+  // inflate(open(to_snapshot_bytes(s))) == s: the flat image carries
+  // every io::Snapshot field, so comparing encoded bytes (the stream pins,
+  // the watchdog) is as strong as comparing the structs. The tiny fixture
+  // adds what a generated world may lack: every flag bit, a hybrid edge.
+  const io::Snapshot tiny = testing::tiny_snapshot();
+  for (const io::Snapshot* original : {&shared_snapshot(), &tiny}) {
+    const std::string bytes = io::to_snapshot_bytes(*original);
+    std::string error;
+    const auto view = io::FlatView::from_bytes(bytes, &error);
+    ASSERT_NE(view, nullptr) << error;
+    const io::Snapshot inflated = test::inflate(*view);
+    expect_same_sections(inflated, *original);
+    EXPECT_EQ(io::to_snapshot_bytes(inflated), bytes);
   }
-  EXPECT_EQ(loaded->class_names, original.class_names);
-  EXPECT_EQ(loaded->clique, original.clique);
-  EXPECT_EQ(loaded->hypergiants, original.hypergiants);
+
+  const auto tiny_view =
+      io::FlatView::from_bytes(io::to_snapshot_bytes(tiny), nullptr);
+  ASSERT_NE(tiny_view, nullptr);
+  std::uint8_t as_flags = 0;
+  std::uint8_t edge_flags = 0;
+  for (std::uint32_t i = 0; i < tiny_view->header().n_ases; ++i) {
+    as_flags |= tiny_view->ases()[i].flags;
+  }
+  for (std::uint32_t i = 0; i < tiny_view->header().n_edges; ++i) {
+    edge_flags |= tiny_view->edges()[i].flags;
+  }
+  EXPECT_EQ(as_flags, 0x1F) << "tiny fixture must set every AS flag";
+  EXPECT_EQ(edge_flags, 0x07) << "tiny fixture must set every edge flag";
 }
 
 TEST(Snapshot, StreamAndFileApisAgreeWithBytes) {
+  // The file writer persists exactly to_snapshot_bytes, and the mmap
+  // reader opens that file to the same image.
   const std::string bytes = io::to_snapshot_bytes(shared_snapshot());
-
-  std::ostringstream sink;
-  io::write_snapshot(shared_snapshot(), sink);
-  EXPECT_EQ(sink.str(), bytes);
-
-  std::istringstream source{bytes};
-  std::string error;
-  const auto loaded = io::read_snapshot(source, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(io::to_snapshot_bytes(*loaded), bytes);
-
   const std::string path =
       ::testing::TempDir() + "/asrel_snapshot_roundtrip.bin";
-  ASSERT_TRUE(io::save_snapshot_file(shared_snapshot(), path, &error))
+  std::string error;
+  ASSERT_TRUE(io::save_flat_snapshot_file(shared_snapshot(), path, &error))
       << error;
-  const auto from_file = io::load_snapshot_file(path, &error);
-  ASSERT_TRUE(from_file.has_value()) << error;
-  EXPECT_EQ(io::to_snapshot_bytes(*from_file), bytes);
+  const auto on_disk = io::read_file_capped(path, &error);
+  ASSERT_TRUE(on_disk.has_value()) << error;
+  EXPECT_EQ(*on_disk, bytes);
+
+  const auto mapped = io::FlatView::open_file(path, &error);
+  ASSERT_NE(mapped, nullptr) << error;
+  EXPECT_EQ(mapped->size_bytes(), bytes.size());
+  EXPECT_EQ(io::to_snapshot_bytes(test::inflate(*mapped)), bytes);
   ::unlink(path.c_str());
 }
 
@@ -112,41 +126,43 @@ TEST(Snapshot, SameSeedIsByteIdentical) {
 
 TEST(Snapshot, RejectsCorruption) {
   const std::string bytes = io::to_snapshot_bytes(shared_snapshot());
+  const auto open = [](std::string candidate, std::string* error) {
+    return io::FlatView::from_bytes(std::move(candidate), error) != nullptr;
+  };
   std::string error;
 
   // Truncation, both mid-header and mid-payload.
-  EXPECT_FALSE(io::parse_snapshot_bytes(bytes.substr(0, 10), &error));
+  EXPECT_FALSE(open(bytes.substr(0, 10), &error));
   EXPECT_FALSE(error.empty());
   error.clear();
-  EXPECT_FALSE(
-      io::parse_snapshot_bytes(bytes.substr(0, bytes.size() / 2), &error));
+  EXPECT_FALSE(open(bytes.substr(0, bytes.size() / 2), &error));
   EXPECT_FALSE(error.empty());
 
   // Wrong magic.
   std::string bad = bytes;
   bad[0] = 'X';
   error.clear();
-  EXPECT_FALSE(io::parse_snapshot_bytes(bad, &error));
+  EXPECT_FALSE(open(bad, &error));
   EXPECT_NE(error.find("magic"), std::string::npos) << error;
 
   // Unsupported version (u32 at offset 8).
   bad = bytes;
   bad[8] = static_cast<char>(bad[8] + 1);
   error.clear();
-  EXPECT_FALSE(io::parse_snapshot_bytes(bad, &error));
+  EXPECT_FALSE(open(bad, &error));
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 
   // Payload bit-flip must trip the checksum.
   bad = bytes;
-  bad[28 + 5] = static_cast<char>(bad[28 + 5] ^ 0x40);
+  bad[sizeof(io::flat::Header) + 5] =
+      static_cast<char>(bad[sizeof(io::flat::Header) + 5] ^ 0x40);
   error.clear();
-  EXPECT_FALSE(io::parse_snapshot_bytes(bad, &error));
+  EXPECT_FALSE(open(bad, &error));
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 
   // Trailing garbage is not silently ignored.
-  bad = bytes + "garbage";
   error.clear();
-  EXPECT_FALSE(io::parse_snapshot_bytes(bad, &error));
+  EXPECT_FALSE(open(bytes + "garbage", &error));
   EXPECT_FALSE(error.empty());
 }
 

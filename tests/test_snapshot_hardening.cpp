@@ -1,256 +1,125 @@
-// Regression tests for the snapshot decoder's hardening: every class of
-// structurally invalid payload that fuzzing can produce must be rejected
-// with a diagnostic, and everything accepted must be canonical (re-encoding
-// reproduces the input byte for byte). The payloads are built by hand with
-// a local little-endian writer so each test controls the exact bytes.
+// Regression tests for the flat (v3) snapshot reader's hardening: every
+// class of structurally invalid image that fuzzing can produce must be
+// rejected with a diagnostic before any section is trusted. The images
+// start from a real encoding and are patched in place (header fields at
+// their struct offsets), so each test controls the exact bytes.
 //
 // The FuzzProperty tests at the bottom run the same oracles the fuzz/
 // binaries use, inside the unit suite, over seeded random mutations — with
 // shrinking, so a failure prints a minimal counterexample.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
 
-#include "io/snapshot.hpp"
+#include "io/flat_snapshot.hpp"
+#include "io/wire.hpp"
 #include "serve/http_parser.hpp"
+#include "testing/flat_oracle.hpp"
 #include "testing/mutate.hpp"
 #include "testing/property.hpp"
-
-// GCC's -Wmissing-field-initializers fires on designated initializers even
-// when every omitted member has a default; the defaults are the point here.
-#pragma GCC diagnostic ignored "-Wmissing-field-initializers"
 
 namespace asrel::io {
 namespace {
 
-// ---- little-endian payload builder (mirrors the production encoder) ----
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+std::string tiny_bytes() {
+  return to_snapshot_bytes(asrel::testing::tiny_snapshot());
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+/// Overwrites the header field at `offset` (offsetof(flat::Header, ...)).
+template <typename T>
+void patch(std::string& bytes, std::size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-std::string wrap(std::string_view payload) {
-  std::string out{kSnapshotMagic};
-  put_u32(out, kSnapshotVersion);
-  put_u64(out, payload.size());
-  put_u64(out, fnv1a64(payload));
-  out.append(payload);
-  return out;
-}
-
-/// Knobs for each corruptible field; defaults produce a canonical payload.
-struct PayloadSpec {
-  std::uint8_t as_tier = 0;        // kClique
-  std::uint8_t as_stub_kind = 6;   // kNotStub
-  std::uint8_t as_flags = 0x01;    // hypergiant
-  std::uint8_t edge_rel = 1;       // kP2P
-  std::uint8_t edge_scope = 0;     // kFull
-  std::uint8_t edge_flags = 0x00;
-  std::uint8_t edge_hybrid = 0;
-  std::uint32_t label_a = 101;
-  std::uint32_t label_b = 202;
-  std::uint8_t label_rel = 0;      // kP2C
-  std::string trailing;
-};
-
-std::string build_payload(const PayloadSpec& spec) {
-  std::string p;
-  put_u64(p, 2);    // meta.as_count
-  put_u64(p, 7);    // meta.seed
-  put_u64(p, 11);   // meta.scheme_seed
-  put_u64(p, 0);    // meta.epoch
-  put_u64(p, 0);    // meta.built_unix_ms
-  put_u64(p, 0);    // class names
-
-  put_u64(p, 1);    // AS records
-  put_u32(p, 101);  // asn
-  put_u8(p, 4);     // region (kRipe)
-  put_u8(p, spec.as_tier);
-  put_u8(p, spec.as_stub_kind);
-  put_u8(p, spec.as_flags);
-  put_u32(p, 2);    // country length
-  p += "DE";
-  put_u64(p, 0);    // prepend_propensity bits (0.0)
-  put_u32(p, 1);    // transit_degree
-  put_u32(p, 2);    // node_degree
-  put_u32(p, 3);    // cone_size
-
-  put_u64(p, 1);    // edges
-  put_u32(p, 101);
-  put_u32(p, 202);
-  put_u8(p, spec.edge_rel);
-  put_u8(p, spec.edge_scope);
-  put_u8(p, spec.edge_flags);
-  put_u8(p, spec.edge_hybrid);
-
-  put_u64(p, 0);    // clique
-  put_u64(p, 0);    // hypergiants
-
-  put_u64(p, 1);    // validation labels
-  put_u32(p, spec.label_a);
-  put_u32(p, spec.label_b);
-  put_u8(p, spec.label_rel);
-  put_u32(p, 0);    // provider
-
-  put_u64(p, 0);    // algorithms
-  put_u64(p, 0);    // link tags
-  p += spec.trailing;
-  return p;
-}
-
-void expect_rejected(const PayloadSpec& spec, std::string_view reason) {
-  std::string error;
-  const auto parsed = parse_snapshot_bytes(wrap(build_payload(spec)), &error);
-  EXPECT_FALSE(parsed.has_value()) << "expected rejection: " << reason;
-  EXPECT_NE(error.find(reason), std::string::npos)
-      << "error was: " << error << "\nexpected to mention: " << reason;
-}
-
-TEST(SnapshotHardening, CanonicalPayloadParsesAndRoundTrips) {
-  const std::string bytes = wrap(build_payload({}));
-  std::string error;
-  const auto parsed = parse_snapshot_bytes(bytes, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(to_snapshot_bytes(*parsed), bytes)
-      << "accepted snapshot did not re-serialize byte-identically";
-  EXPECT_EQ(parsed->ases.size(), 1u);
-  EXPECT_TRUE(parsed->ases[0].attrs.hypergiant);
-  EXPECT_EQ(parsed->edges.size(), 1u);
-  EXPECT_EQ(parsed->validation.size(), 1u);
-}
-
-TEST(SnapshotHardening, UnknownAsFlagBitsRejected) {
-  expect_rejected({.as_flags = 0x21}, "unknown flag bits in AS record");
-  expect_rejected({.as_flags = 0x80}, "unknown flag bits in AS record");
-}
-
-TEST(SnapshotHardening, InvalidTierAndStubKindRejected) {
-  expect_rejected({.as_tier = 5}, "invalid tier/stub code");
-  expect_rejected({.as_tier = 0xFF}, "invalid tier/stub code");
-  expect_rejected({.as_stub_kind = 7}, "invalid tier/stub code");
-}
-
-TEST(SnapshotHardening, InvalidEdgeCodesRejected) {
-  expect_rejected({.edge_rel = 4}, "invalid relationship/scope code");
-  expect_rejected({.edge_scope = 9}, "invalid relationship/scope code");
-}
-
-TEST(SnapshotHardening, UnknownEdgeFlagBitsRejected) {
-  expect_rejected({.edge_flags = 0x08}, "unknown flag bits in edge record");
-}
-
-TEST(SnapshotHardening, NonHybridEdgeWithHybridByteRejected) {
-  // Flag bit 2 (hybrid) is clear but the hybrid byte is set: the decoder
-  // used to drop the byte silently, making the accepted form ambiguous.
-  expect_rejected({.edge_hybrid = 2},
-                  "nonzero hybrid byte on a non-hybrid edge");
-}
-
-TEST(SnapshotHardening, HybridEdgeWithInvalidRelRejected) {
-  expect_rejected({.edge_flags = 0x04, .edge_hybrid = 200},
-                  "invalid relationship/scope code");
-}
-
-TEST(SnapshotHardening, HybridEdgeWithValidRelAccepted) {
-  std::string error;
-  const auto parsed = parse_snapshot_bytes(
-      wrap(build_payload({.edge_flags = 0x04, .edge_hybrid = 1})), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  ASSERT_TRUE(parsed->edges[0].hybrid_rel.has_value());
-  EXPECT_EQ(*parsed->edges[0].hybrid_rel, topo::RelType::kP2P);
-}
-
-TEST(SnapshotHardening, NonCanonicalLabelOrderRejected) {
-  expect_rejected({.label_a = 202, .label_b = 101},
-                  "link not in canonical order");
-  expect_rejected({.label_a = 101, .label_b = 101},
-                  "link not in canonical order");
-}
-
-TEST(SnapshotHardening, InvalidLabelRelRejected) {
-  expect_rejected({.label_rel = 9}, "invalid relationship code");
+/// Re-stamps the header checksum, so only the structural checks can
+/// reject the image.
+void restamp(std::string& bytes) {
+  patch(bytes, offsetof(flat::Header, checksum),
+        wire::fnv1a64(std::string_view{bytes}.substr(sizeof(flat::Header))));
 }
 
 TEST(SnapshotHardening, TrailingBytesRejected) {
-  expect_rejected({.trailing = "x"}, "trailing bytes");
+  std::string error;
+  const std::string bytes = tiny_bytes();
+  EXPECT_EQ(FlatView::from_bytes(bytes + "x", &error, false), nullptr);
+  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+
+  // With the header's file size patched to cover them, the checksum
+  // still does.
+  std::string padded = bytes + std::string(8, '\0');
+  patch(padded, offsetof(flat::Header, file_size),
+        std::uint64_t{padded.size()});
+  error.clear();
+  EXPECT_EQ(FlatView::from_bytes(padded, &error, true), nullptr);
+  EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 }
 
 TEST(SnapshotHardening, ChecksumAndTruncationRejected) {
-  std::string bytes = wrap(build_payload({}));
+  const std::string bytes = tiny_bytes();
   std::string flipped = bytes;
-  flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
+  flipped[sizeof(flat::Header)] =
+      static_cast<char>(flipped[sizeof(flat::Header)] ^ 0x01);
   std::string error;
-  EXPECT_FALSE(parse_snapshot_bytes(flipped, &error).has_value());
+  EXPECT_EQ(FlatView::from_bytes(flipped, &error, true), nullptr);
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 
-  EXPECT_FALSE(
-      parse_snapshot_bytes(bytes.substr(0, bytes.size() - 3), &error)
-          .has_value());
-  EXPECT_FALSE(parse_snapshot_bytes("", &error).has_value());
-  EXPECT_FALSE(parse_snapshot_bytes("ASRELSNP", &error).has_value());
+  error.clear();
+  EXPECT_EQ(FlatView::from_bytes(bytes.substr(0, bytes.size() - 3), &error,
+                                 false),
+            nullptr);
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(FlatView::from_bytes("", &error, false), nullptr);
+  EXPECT_EQ(FlatView::from_bytes(std::string{kFlatSnapshotMagic}, &error,
+                                 false),
+            nullptr);
 }
 
 TEST(SnapshotHardening, ImplausibleElementCountRejected) {
-  // A count claiming more elements than the payload has bytes for must be
-  // caught before any allocation.
-  std::string p;
-  put_u64(p, 2);
-  put_u64(p, 7);
-  put_u64(p, 11);
-  put_u64(p, 0);  // epoch
-  put_u64(p, 0);  // built_unix_ms
-  put_u64(p, 0xFFFFFFFFFFFFull);  // class-name count, absurd
-  std::string error;
-  EXPECT_FALSE(parse_snapshot_bytes(wrap(p), &error).has_value());
-  EXPECT_NE(error.find("implausible"), std::string::npos) << error;
+  // A count claiming more records than the file has bytes for fails the
+  // structural open, even with a matching checksum, before any record is
+  // read.
+  for (const std::size_t field :
+       {offsetof(flat::Header, n_ases), offsetof(flat::Header, n_edges),
+        offsetof(flat::Header, n_validation),
+        offsetof(flat::Header, n_links)}) {
+    std::string bytes = tiny_bytes();
+    patch(bytes, field, std::uint32_t{0xFFFFFFFFu});
+    restamp(bytes);
+    std::string error;
+    EXPECT_EQ(FlatView::from_bytes(bytes, &error, true), nullptr)
+        << "header field at offset " << field;
+    EXPECT_NE(error.find("out of bounds"), std::string::npos) << error;
+  }
 }
 
 TEST(SnapshotHardening, LoadSnapshotFileDiagnosesMissingAndGarbage) {
   std::string error;
-  EXPECT_EQ(load_snapshot_file("/nonexistent/asrel.snap", &error),
-            std::nullopt);
+  EXPECT_EQ(FlatView::open_file("/nonexistent/asrel.snap", &error), nullptr);
   EXPECT_FALSE(error.empty());
 
   // Long enough to clear the header-size check so the magic check fires.
   const std::string path = ::testing::TempDir() + "asrel_garbage.snap";
   {
     std::ofstream out{path, std::ios::binary};
-    out << "this is not a snapshot, padded well past the header size";
+    for (int i = 0; i < 8; ++i) {
+      out << "this is not a snapshot, padded well past the header size";
+    }
   }
   error.clear();
-  EXPECT_EQ(load_snapshot_file(path, &error), std::nullopt);
+  EXPECT_EQ(FlatView::open_file(path, &error), nullptr);
   EXPECT_NE(error.find("magic"), std::string::npos) << error;
 }
 
 // ---- in-suite mini-fuzz: same oracles as fuzz/, with shrinking ----
 
-TEST(FuzzProperty, SnapshotParserIsTotalAndCanonical) {
-  const std::string base = wrap(build_payload({}));
+TEST(FuzzProperty, FlatSnapshotReaderIsTotal) {
+  const std::string base = tiny_bytes();
   asrel::testing::PropertyConfig config;
   config.cases = 400;
   const auto result = asrel::testing::check_property<std::string>(
@@ -258,17 +127,8 @@ TEST(FuzzProperty, SnapshotParserIsTotalAndCanonical) {
       [&](asrel::testing::Rng& rng) {
         return asrel::testing::mutate_bytes(base, rng);
       },
-      [](const std::string& bytes) -> std::optional<std::string> {
-        std::string error;
-        const auto parsed = parse_snapshot_bytes(bytes, &error);
-        if (!parsed.has_value()) {
-          if (error.empty()) return "rejection without a diagnostic";
-          return std::nullopt;
-        }
-        if (to_snapshot_bytes(*parsed) != bytes) {
-          return "accepted input is not canonical";
-        }
-        return std::nullopt;
+      [](const std::string& bytes) {
+        return asrel::testing::check_flat_reader(bytes);
       },
       [](const std::string& bytes) {
         return asrel::testing::shrink_bytes(bytes);

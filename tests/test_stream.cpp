@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/snapshot_builder.hpp"
-#include "io/snapshot.hpp"
+#include "io/flat_snapshot.hpp"
 #include "serve/engine_hub.hpp"
 #include "serve/fault_inject.hpp"
 #include "serve/query_engine.hpp"
@@ -290,7 +290,7 @@ TEST(Stream, TornPublicationNeverRegressesTheServedEpoch) {
   const auto events = stream::generate_churn(session.world(), 5, 30);
   const std::string path = ::testing::TempDir() + "/asrel_stream_chaos.bin";
   std::string error;
-  ASSERT_TRUE(io::save_snapshot_file(session.snapshot(), path, &error))
+  ASSERT_TRUE(io::save_flat_snapshot_file(session.snapshot(), path, &error))
       << error;
 
   std::uint64_t last_epoch = hub.epoch();
@@ -306,11 +306,11 @@ TEST(Stream, TornPublicationNeverRegressesTheServedEpoch) {
       plan.seed = 0xC0FFEEull + i;
       plan.snapshot_write_cap = 64;
       serve::fault::ScopedFaults faults{plan};
-      EXPECT_FALSE(io::save_snapshot_file(next, path, &error));
+      EXPECT_FALSE(io::save_flat_snapshot_file(next, path, &error));
     }
-    auto on_disk = io::load_snapshot_file(path, &error);
-    ASSERT_TRUE(on_disk.has_value()) << error;
-    EXPECT_LT(on_disk->meta.epoch, next.meta.epoch);
+    auto on_disk = io::FlatView::open_file(path, &error);
+    ASSERT_NE(on_disk, nullptr) << error;
+    EXPECT_LT(on_disk->header().epoch, next.meta.epoch);
 
     // ...and the in-memory swap is atomic: the served epoch only moves
     // forward, and the engine it exposes parses as the published bytes.
@@ -323,10 +323,10 @@ TEST(Stream, TornPublicationNeverRegressesTheServedEpoch) {
     EXPECT_EQ(engine->meta().epoch, next.meta.epoch);
 
     // Once the fault clears, the durable write catches up.
-    ASSERT_TRUE(io::save_snapshot_file(next, path, &error)) << error;
-    on_disk = io::load_snapshot_file(path, &error);
-    ASSERT_TRUE(on_disk.has_value()) << error;
-    EXPECT_EQ(on_disk->meta.epoch, next.meta.epoch);
+    ASSERT_TRUE(io::save_flat_snapshot_file(next, path, &error)) << error;
+    on_disk = io::FlatView::open_file(path, &error);
+    ASSERT_NE(on_disk, nullptr) << error;
+    EXPECT_EQ(on_disk->header().epoch, next.meta.epoch);
   }
   EXPECT_EQ(hub.stats().publishes, 3u);
   EXPECT_EQ(hub.epoch(), 4u);

@@ -1,13 +1,10 @@
 // asrel_serve — always-on query daemon over a precomputed snapshot.
 //
 //   asrel_serve --snapshot FILE [--port P] [--threads N]
-//       Load a snapshot from disk (milliseconds) and serve it.
-//
-//   asrel_serve --flat-snapshot FILE [--port P] [--threads N]
-//       Serve a flat (v3) snapshot by mmap: open is microseconds, point
-//       lookups read the mapped image directly, and SIGHUP / POST
-//       /reloadz swap epochs without a parse or re-encode. Produce the
-//       file with --save-flat.
+//       Serve a flat (v3) snapshot file by mmap: the first open verifies
+//       its checksum, point lookups read the mapped image directly, and
+//       SIGHUP / POST /reloadz swap epochs with a structural open
+//       (microseconds, no parse). Produce the file with --save.
 //
 //   asrel_serve --generate [--as-count N] [--seed S] [--save FILE]
 //               [--port P] [--threads N]
@@ -75,7 +72,6 @@
 #include "obs/trace.hpp"
 #include "core/snapshot_builder.hpp"
 #include "io/flat_snapshot.hpp"
-#include "io/snapshot.hpp"
 #include "serve/engine_hub.hpp"
 #include "serve/http_server.hpp"
 #include "serve/json.hpp"
@@ -91,13 +87,11 @@ namespace {
 using namespace asrel;
 
 struct Args {
-  std::string snapshot;
-  std::string flat_snapshot;  ///< serve an mmap'd v3 image
+  std::string snapshot;  ///< serve this mmap'd flat (v3) file
   bool generate = false;
   int as_count = 12000;
   std::uint64_t seed = 42;
-  std::string save;
-  std::string save_flat;  ///< also write the flat (v3) image here
+  std::string save;  ///< write each built or published epoch here
   int port = 8642;
   int threads = 4;
   int timeout_ms = 5000;
@@ -132,10 +126,8 @@ int usage() {
       "              [--timeout-ms MS] [--deadline-ms MS] [--drain-ms MS]\n"
       "              [--max-pending N] [--trace]\n"
       "              [--log-stderr debug|info|warn|error] [--crash-dir DIR]\n"
-      "              [--save-flat FILE]\n"
-      "  asrel_serve --flat-snapshot FILE [--port P] [--threads N]\n"
       "  asrel_serve --generate [--as-count N] [--seed S] [--save FILE]\n"
-      "              [--save-flat FILE] [--port P] [--threads N]\n"
+      "              [--port P] [--threads N]\n"
       "  asrel_serve --generate --stream-events N [--stream-interval-ms MS]\n"
       "              [--stream-batch K] [--churn-seed S] [--replay FILE]\n"
       "              [--checkpoint-dir DIR] [--checkpoint-every N]\n"
@@ -171,10 +163,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
     const char* value = argv[++i];
     if (flag == "--snapshot") {
       args.snapshot = value;
-    } else if (flag == "--flat-snapshot") {
-      args.flat_snapshot = value;
-    } else if (flag == "--save-flat") {
-      args.save_flat = value;
     } else if (flag == "--as-count") {
       args.as_count = std::atoi(value);
     } else if (flag == "--seed") {
@@ -231,11 +219,8 @@ std::optional<Args> parse_args(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  // Exactly one source: --snapshot, --flat-snapshot, or --generate.
-  const int sources = (!args.snapshot.empty() ? 1 : 0) +
-                      (!args.flat_snapshot.empty() ? 1 : 0) +
-                      (args.generate ? 1 : 0);
-  if (sources != 1) return std::nullopt;
+  // Exactly one source: --snapshot or --generate.
+  if (args.snapshot.empty() == !args.generate) return std::nullopt;
   const bool live = args.stream_events > 0 || !args.replay.empty();
   if (live && !args.generate) return std::nullopt;
   if (args.stream_events > 0 && !args.replay.empty()) return std::nullopt;
@@ -409,7 +394,7 @@ int main(int argc, char** argv) {
                  args->stream_batch, args->stream_interval_ms);
     if (!args->save.empty()) {
       std::string error;
-      if (!io::save_snapshot_file(snapshot, args->save, &error)) {
+      if (!io::save_flat_snapshot_file(snapshot, args->save, &error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 1;
       }
@@ -431,56 +416,42 @@ int main(int argc, char** argv) {
                  static_cast<long long>(elapsed.count()));
     if (!args->save.empty()) {
       std::string error;
-      if (!io::save_snapshot_file(snapshot, args->save, &error)) {
+      if (!io::save_flat_snapshot_file(snapshot, args->save, &error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 1;
       }
       std::fprintf(stderr, "saved snapshot to %s\n", args->save.c_str());
     }
-  } else if (!args->flat_snapshot.empty()) {
-    // Handled below: the mmap'd image is served as is.
-  } else {
-    const auto started = std::chrono::steady_clock::now();
-    std::string error;
-    auto loaded = io::load_snapshot_file(args->snapshot, &error);
-    if (!loaded) {
-      std::fprintf(stderr, "error loading %s: %s\n", args->snapshot.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    snapshot = std::move(*loaded);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - started);
-    std::fprintf(stderr, "loaded snapshot in %lld ms\n",
-                 static_cast<long long>(elapsed.count()));
   }
 
-  // Reloads re-read the file the daemon serves from: the mmap'd image
-  // with --flat-snapshot, --snapshot when loading, --save when
-  // generating. Without a path, reloads fail closed.
-  const std::string reload_path = !args->flat_snapshot.empty()
-                                      ? args->flat_snapshot
-                                  : !args->snapshot.empty() ? args->snapshot
-                                                            : args->save;
+  // Reloads re-read the file the daemon serves from: --snapshot when
+  // loading, --save when generating. Without a path, reloads fail closed.
+  const std::string reload_path =
+      !args->snapshot.empty() ? args->snapshot : args->save;
   std::shared_ptr<const serve::QueryEngine> initial_engine;
-  serve::EngineHub::EngineLoader loader;
-  if (!args->flat_snapshot.empty()) {
+  if (!args->snapshot.empty()) {
     const auto started = std::chrono::steady_clock::now();
     std::string error;
-    // First open deep-verifies the checksum; reloads trust the atomic
+    // The first open verifies the checksum; reloads trust the atomic
     // rename protocol and stay structural (microseconds).
-    const auto view = io::FlatView::open_file(args->flat_snapshot, &error,
+    const auto view = io::FlatView::open_file(args->snapshot, &error,
                                               /*deep_verify=*/true);
     if (view == nullptr) {
-      std::fprintf(stderr, "error opening %s: %s\n",
-                   args->flat_snapshot.c_str(), error.c_str());
+      std::fprintf(stderr, "error opening %s: %s\n", args->snapshot.c_str(),
+                   error.c_str());
       return 1;
     }
     initial_engine = std::make_shared<const serve::QueryEngine>(view);
     const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
         std::chrono::steady_clock::now() - started);
-    std::fprintf(stderr, "mapped flat snapshot in %lld us\n",
+    std::fprintf(stderr, "mapped snapshot in %lld us\n",
                  static_cast<long long>(elapsed.count()));
+  } else {
+    initial_engine = std::make_shared<const serve::QueryEngine>(snapshot);
+    snapshot = {};  // the engine serves its own flat copy
+  }
+  serve::EngineHub::EngineLoader loader;
+  if (!reload_path.empty()) {
     loader = [reload_path](std::string* error)
         -> std::shared_ptr<const serve::QueryEngine> {
       const auto next =
@@ -488,26 +459,6 @@ int main(int argc, char** argv) {
       if (next == nullptr) return nullptr;
       return std::make_shared<const serve::QueryEngine>(next);
     };
-  } else {
-    if (!args->save_flat.empty()) {
-      std::string error;
-      if (!io::save_flat_snapshot_file(snapshot, args->save_flat, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "saved flat snapshot to %s\n",
-                   args->save_flat.c_str());
-    }
-    initial_engine = std::make_shared<const serve::QueryEngine>(snapshot);
-    snapshot = {};  // the engine serves its own flat copy
-    if (!reload_path.empty()) {
-      loader = [reload_path](std::string* error)
-          -> std::shared_ptr<const serve::QueryEngine> {
-        const auto next = io::load_snapshot_file(reload_path, error);
-        if (!next) return nullptr;
-        return std::make_shared<const serve::QueryEngine>(*next);
-      };
-    }
   }
   std::fprintf(stderr,
                "snapshot: %zu ASes, %zu edges, %zu links, %zu labels\n",
@@ -680,18 +631,9 @@ int main(int argc, char** argv) {
         // Durable epoch: crash-safe tmp+rename, so a torn write never
         // clobbers the last good file and SIGHUP reloads stay safe.
         std::string save_error;
-        if (!io::save_snapshot_file(published, args->save, &save_error)) {
-          std::fprintf(stderr, "epoch write failed (still serving): %s\n",
-                       save_error.c_str());
-        }
-      }
-      if (!args->save_flat.empty()) {
-        // Same protocol for the flat image, so a sibling daemon serving
-        // it via --flat-snapshot can SIGHUP-reload each epoch in us.
-        std::string save_error;
-        if (!io::save_flat_snapshot_file(published, args->save_flat,
+        if (!io::save_flat_snapshot_file(published, args->save,
                                          &save_error)) {
-          std::fprintf(stderr, "flat epoch write failed: %s\n",
+          std::fprintf(stderr, "epoch write failed (still serving): %s\n",
                        save_error.c_str());
         }
       }
@@ -721,8 +663,8 @@ int main(int argc, char** argv) {
             hub->publish(session->snapshot());
             if (!args->save.empty()) {
               std::string save_error;
-              if (!io::save_snapshot_file(session->snapshot(), args->save,
-                                          &save_error)) {
+              if (!io::save_flat_snapshot_file(session->snapshot(),
+                                               args->save, &save_error)) {
                 std::fprintf(stderr, "healed epoch write failed: %s\n",
                              save_error.c_str());
               }

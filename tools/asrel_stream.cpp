@@ -6,6 +6,8 @@
 //       Bootstrap a streaming session, generate a seeded churn feed, apply
 //       it in batches of K events (publishing an epoch per batch), and
 //       report per-event/per-epoch timings plus incremental-vs-full cost.
+//       --save writes the final epoch as a flat (v3) snapshot file, the
+//       one asrel_serve --snapshot serves.
 //
 //   asrel_stream --as-count N --seed S --replay FILE [--batch K] ...
 //       Same, but the events come from a replay file (see
@@ -33,7 +35,7 @@
 #include <thread>
 #include <vector>
 
-#include "io/snapshot.hpp"
+#include "io/flat_snapshot.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "stream/checkpoint.hpp"
@@ -397,7 +399,8 @@ int main(int argc, char** argv) {
 
   if (!args->save.empty()) {
     std::string error;
-    if (!io::save_snapshot_file(session->snapshot(), args->save, &error)) {
+    if (!io::save_flat_snapshot_file(session->snapshot(), args->save,
+                                     &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
