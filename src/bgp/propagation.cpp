@@ -461,6 +461,13 @@ void harvest_origin(const Propagator& propagator, const OriginRib& rib,
   }
 }
 
+unsigned origin_workers(unsigned requested) {
+  // The cap keeps the auto default sane on very wide machines; an
+  // explicit count is honored as is, above or below it.
+  if (requested != 0) return requested;
+  return std::min(32u, std::max(1u, std::thread::hardware_concurrency()));
+}
+
 PathTable collect_paths(const Propagator& propagator,
                         std::vector<VantagePoint> vps) {
   obs::StageScope stage{"bgp.collect_paths"};
@@ -474,20 +481,12 @@ PathTable collect_paths(const Propagator& propagator,
   const std::vector<VpSession> sessions = resolve_vp_sessions(graph, vps);
   table.set_vantage_points(std::move(vps));
 
-  // threads == 0 auto-sizes to hardware concurrency, capped at 32 so the
-  // auto default stays sane on very wide machines; an *explicit* setting is
-  // honored as-is, above or below the cap.
-  unsigned thread_count = propagator.params().threads;
-  if (thread_count == 0) {
-    thread_count =
-        std::min(32u, std::max(1u, std::thread::hardware_concurrency()));
-  }
-
   // Each origin writes only its own bucket, so origins parallelize freely;
   // the path count is fixed up below because add_path's counter is not
   // synchronized.
   core::ThreadPool::shared().run_indexed(
-      n, thread_count, [&](std::size_t origin) {
+      n, origin_workers(propagator.params().threads),
+      [&](std::size_t origin) {
         const asn::Asn origin_asn = graph.asn_of(static_cast<NodeId>(origin));
         const OriginRib rib = propagator.propagate(origin_asn);
         harvest_origin(propagator, rib, sessions, table);

@@ -233,6 +233,10 @@ void harvest_origin(const Propagator& propagator, const OriginRib& rib,
 [[nodiscard]] std::vector<std::size_t> split_origins_by_hops(
     const PathTable& table, std::size_t chunks);
 
+/// Worker count for a per-origin sweep under PropagationParams::threads:
+/// `requested` when nonzero, else hardware concurrency capped at 32.
+[[nodiscard]] unsigned origin_workers(unsigned requested);
+
 /// Propagates every origin and harvests the VP paths (parallelized across
 /// origins; result independent of thread count).
 [[nodiscard]] PathTable collect_paths(const Propagator& propagator,

@@ -4,14 +4,18 @@
 
 namespace asrel::core {
 
+ScenarioParams with_stage_threads(ScenarioParams params) {
+  if (params.threads != 0) {
+    params.propagation.threads = params.threads;
+    params.extract.threads = params.threads;
+  }
+  return params;
+}
+
 std::unique_ptr<Scenario> Scenario::build(const ScenarioParams& params) {
   obs::StageScope scenario_scope{"pipeline.build"};
   auto scenario = std::unique_ptr<Scenario>(new Scenario);
-  scenario->params_ = params;
-  if (params.threads != 0) {
-    scenario->params_.propagation.threads = params.threads;
-    scenario->params_.extract.threads = params.threads;
-  }
+  scenario->params_ = with_stage_threads(params);
   const ScenarioParams& effective = scenario->params_;
 
   // 1. The world and its companion data sets.
@@ -36,11 +40,7 @@ std::unique_ptr<Scenario> Scenario::from_parts(
     const ScenarioParams& params, topo::World world,
     std::vector<bgp::VantagePoint> vps, bgp::PathTable paths) {
   auto scenario = std::unique_ptr<Scenario>(new Scenario);
-  scenario->params_ = params;
-  if (params.threads != 0) {
-    scenario->params_.propagation.threads = params.threads;
-    scenario->params_.extract.threads = params.threads;
-  }
+  scenario->params_ = with_stage_threads(params);
   scenario->world_ = std::move(world);
   scenario->vps_ = std::move(vps);
   scenario->paths_ = std::move(paths);

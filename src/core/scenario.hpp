@@ -50,6 +50,10 @@ struct ScenarioParams {
   unsigned threads = 0;
 };
 
+/// `params` with a nonzero `threads` copied into the per-stage worker
+/// counts (propagation, extraction): the one place that knob is applied.
+[[nodiscard]] ScenarioParams with_stage_threads(ScenarioParams params);
+
 class Scenario {
  public:
   /// Builds the whole pipeline. Deterministic in `params`.

@@ -131,4 +131,13 @@ EngineHub::Stats EngineHub::stats() const {
   return stats;
 }
 
+EngineHub::EngineLoader flat_file_loader(std::string path) {
+  return [path = std::move(path)](std::string* error)
+             -> std::shared_ptr<const QueryEngine> {
+    auto view = io::FlatView::open_file(path, error, /*deep_verify=*/false);
+    if (view == nullptr) return nullptr;
+    return std::make_shared<const QueryEngine>(std::move(view));
+  };
+}
+
 }  // namespace asrel::serve

@@ -142,4 +142,9 @@ class EngineHub {
   std::string last_error_;
 };
 
+/// The daemon's reload loader: re-maps the flat image at `path` with
+/// structural checks only. The atomic-rename writer guarantees a whole
+/// file and the first open verified its checksum, so a swap costs an mmap.
+[[nodiscard]] EngineHub::EngineLoader flat_file_loader(std::string path);
+
 }  // namespace asrel::serve

@@ -137,4 +137,20 @@ EventQueue::Stats EventQueue::stats() const {
   return stats_;
 }
 
+QueueFeeder::QueueFeeder(EventQueue& queue,
+                         std::span<const ChurnEvent> events,
+                         std::uint64_t start)
+    : queue_(queue), thread_([this, events, start] {
+        for (std::uint64_t seq = start; seq < events.size(); ++seq) {
+          queue_.push({seq, events[seq]});
+        }
+        done_.store(true);
+        queue_.close();
+      }) {}
+
+QueueFeeder::~QueueFeeder() {
+  queue_.close();
+  thread_.join();
+}
+
 }  // namespace asrel::stream

@@ -17,14 +17,22 @@
 // Consumers drain with pop(), which blocks until an event arrives or the
 // queue is closed *and* empty — close() is the drain-aware shutdown: the
 // producer stops, the consumer finishes the backlog, then exits.
+//
+// QueueFeeder is the producer both tools run: one thread pushing a feed
+// into the queue. Its destructor closes the queue before joining, so a
+// consumer that leaves early (a failed verify, a shutdown) never strands
+// a kBlock push waiting for space.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string_view>
+#include <thread>
 
 #include "stream/churn.hpp"
 
@@ -88,6 +96,26 @@ class EventQueue {
   std::deque<QueuedEvent> items_;
   bool closed_ = false;
   Stats stats_;
+};
+
+/// Pushes events[start, end) into `queue` on its own thread, then closes
+/// the queue. `events` and `queue` must outlive the feeder.
+class QueueFeeder {
+ public:
+  QueueFeeder(EventQueue& queue, std::span<const ChurnEvent> events,
+              std::uint64_t start);
+  /// Closes the queue (a push waiting for space gives up), then joins.
+  ~QueueFeeder();
+  QueueFeeder(const QueueFeeder&) = delete;
+  QueueFeeder& operator=(const QueueFeeder&) = delete;
+
+  /// True once the whole feed was offered to the queue.
+  [[nodiscard]] bool done() const { return done_.load(); }
+
+ private:
+  EventQueue& queue_;
+  std::atomic<bool> done_{false};
+  std::thread thread_;
 };
 
 }  // namespace asrel::stream

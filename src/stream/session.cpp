@@ -4,7 +4,6 @@
 #include <chrono>
 #include <new>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/parallel.hpp"
@@ -73,11 +72,6 @@ struct StreamMetrics {
   }
 };
 
-unsigned worker_count(unsigned requested) {
-  if (requested != 0) return requested;
-  return std::min(32u, std::max(1u, std::thread::hardware_concurrency()));
-}
-
 CheckpointFingerprint fingerprint_of(const core::ScenarioParams& params,
                                      const topo::AsGraph& graph) {
   CheckpointFingerprint fp;
@@ -125,11 +119,7 @@ StreamSession::StreamSession(const core::ScenarioParams& params, RestoreTag) {
 }
 
 void StreamSession::init_static(const core::ScenarioParams& params) {
-  params_ = params;
-  if (params.threads != 0) {
-    params_.propagation.threads = params.threads;
-    params_.extract.threads = params.threads;
-  }
+  params_ = core::with_stage_threads(params);
   world_ = topo::generate(params_.topology);
   vps_ = bgp::select_vantage_points(world_, params_.vantage);
   // The propagator keeps a pointer to world_; the member is mutated in
@@ -147,7 +137,7 @@ void StreamSession::rebuild_derived_state() {
   paths_ = bgp::PathTable{};
   paths_.resize_origins(n);
   paths_.set_vantage_points(vps_);
-  const unsigned threads = worker_count(params_.propagation.threads);
+  const unsigned threads = bgp::origin_workers(params_.propagation.threads);
   core::ThreadPool::shared().run_indexed(n, threads, [&](std::size_t i) {
     const auto origin = static_cast<topo::NodeId>(i);
     ribs_[i] = propagator_->propagate(world_.graph.asn_of(origin));
@@ -228,7 +218,7 @@ void StreamSession::reconverge(std::span<const topo::EdgeId> touched,
                                const std::vector<std::uint8_t>* candidates) {
   obs::StageScope stage{"stream.reconverge"};
   const std::size_t n = ribs_.size();
-  const unsigned threads = worker_count(params_.propagation.threads);
+  const unsigned threads = bgp::origin_workers(params_.propagation.threads);
   core::ThreadPool& pool = core::ThreadPool::shared();
 
   // Pass 1: conservative dirty scan — O(touched) per origin. Origins the
@@ -395,7 +385,7 @@ std::unique_ptr<StreamSession> StreamSession::restore(
   session->paths_.resize_origins(n);
   session->paths_.set_vantage_points(session->vps_);
   const unsigned threads =
-      worker_count(session->params_.propagation.threads);
+      bgp::origin_workers(session->params_.propagation.threads);
   core::ThreadPool::shared().run_indexed(n, threads, [&](std::size_t i) {
     bgp::harvest_origin(*session->propagator_, session->ribs_[i],
                         session->sessions_, session->paths_);

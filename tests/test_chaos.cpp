@@ -259,15 +259,8 @@ TEST(Chaos, TornSnapshotWritesNeverCorruptTheServedFile) {
   // A reload that hits a torn file fails closed: the old epoch keeps
   // serving and the error is recorded; once the fault clears, the next
   // reload succeeds.
-  serve::EngineHub hub{
-      std::make_shared<const serve::QueryEngine>(snapshot),
-      [path](std::string* load_error)
-          -> std::shared_ptr<const serve::QueryEngine> {
-        auto next =
-            io::FlatView::open_file(path, load_error, /*deep_verify=*/false);
-        if (next == nullptr) return nullptr;
-        return std::make_shared<const serve::QueryEngine>(std::move(next));
-      }};
+  serve::EngineHub hub{std::make_shared<const serve::QueryEngine>(snapshot),
+                       serve::flat_file_loader(path)};
   EXPECT_EQ(hub.epoch(), 1u);
   {
     serve::fault::FaultPlan plan;

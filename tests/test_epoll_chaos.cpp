@@ -419,13 +419,7 @@ TEST(EpollChaos, FlatReloadUnderPipelinedLoadLosesZeroRequests) {
   ASSERT_NE(initial, nullptr) << error;
   const auto hub = std::make_shared<serve::EngineHub>(
       std::make_shared<const serve::QueryEngine>(initial),
-      [path](std::string* load_error)
-          -> std::shared_ptr<const serve::QueryEngine> {
-        auto view = io::FlatView::open_file(path, load_error,
-                                            /*deep_verify=*/false);
-        if (view == nullptr) return nullptr;
-        return std::make_shared<const serve::QueryEngine>(std::move(view));
-      });
+      serve::flat_file_loader(path));
   serve::AsrelService service{hub};
 
   auto options = epoll_options();

@@ -12,6 +12,8 @@
 #include <sstream>
 #include <string>
 
+#include "obs/log.hpp"
+#include "obs/trace.hpp"
 #include "test_support.hpp"
 #include "testing/canonical.hpp"
 
@@ -48,6 +50,13 @@ TEST(Golden, ReportsMatchCheckedInFiles) {
 }
 
 TEST(Golden, WireTranscriptMatchesCheckedInFile) {
+  expect_matches_golden_file(
+      testing::kWireTranscriptFile,
+      testing::wire_transcript(test::shared_scenario()));
+  // Observability never changes a served byte: the same script with
+  // tracing and logging on yields the same transcript.
+  obs::ScopedTracing tracing{true, /*clear_on_exit=*/true};
+  obs::ScopedLogging logging{true, /*clear_on_exit=*/true};
   expect_matches_golden_file(
       testing::kWireTranscriptFile,
       testing::wire_transcript(test::shared_scenario()));

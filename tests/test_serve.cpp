@@ -1,12 +1,14 @@
 // Serving layer: snapshot format (round-trip, determinism, corruption
 // rejection), QueryEngine answers vs the in-memory pipeline (ground
 // truth, stored verdicts, validation, BiasAudit reports), the report
-// cache, and an end-to-end HTTP integration test on an ephemeral port.
+// cache, the hot-reload cost bound, and an end-to-end HTTP integration
+// test on an ephemeral port.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <latch>
 #include <memory>
@@ -23,6 +25,7 @@
 #include "flat_inflate.hpp"
 #include "io/atomic_file.hpp"
 #include "io/flat_snapshot.hpp"
+#include "serve/engine_hub.hpp"
 #include "serve/http_server.hpp"
 #include "serve/lru_cache.hpp"
 #include "serve/query_engine.hpp"
@@ -111,6 +114,32 @@ TEST(Snapshot, StreamAndFileApisAgreeWithBytes) {
   ASSERT_NE(mapped, nullptr) << error;
   EXPECT_EQ(mapped->size_bytes(), bytes.size());
   EXPECT_EQ(io::to_snapshot_bytes(test::inflate(*mapped)), bytes);
+  ::unlink(path.c_str());
+}
+
+TEST(EngineHub, FlatFileReloadAveragesUnderAMillisecond) {
+  // A hot reload through the daemon's loader is an mmap plus structural
+  // checks, never a checksum pass: the mean of 50 swaps stays in
+  // microseconds even in unoptimized and sanitizer builds.
+  const std::string path = ::testing::TempDir() + "/asrel_reload_timing.v3";
+  std::string error;
+  ASSERT_TRUE(io::save_flat_snapshot_file(shared_snapshot(), path, &error))
+      << error;
+  serve::EngineHub hub{
+      std::make_shared<const serve::QueryEngine>(shared_snapshot()),
+      serve::flat_file_loader(path)};
+  constexpr int kReloads = 50;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kReloads; ++i) {
+    const auto result = hub.reload();
+    ASSERT_TRUE(result.ok) << result.error;
+  }
+  const double mean_us = std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count() /
+                         kReloads;
+  EXPECT_LT(mean_us, 1000.0) << "mean reload " << mean_us << " us";
+  EXPECT_EQ(hub.epoch(), 1u + kReloads);
   ::unlink(path.c_str());
 }
 

@@ -8,8 +8,8 @@
 //   * divergence watchdog — seeded silent corruption is detected within
 //     one audit interval and self-healed, after which the byte-equality
 //     oracle holds again;
-//   * backpressured ingest — block/shed/coalesce saturation semantics and
-//     drain-aware close().
+//   * backpressured ingest — block/shed/coalesce saturation semantics,
+//     drain-aware close(), and a feeder torn down mid-push.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -450,6 +450,19 @@ TEST(StreamChaos, QueueCloseDrainsInsteadOfDropping) {
   EXPECT_TRUE(queue.pop().has_value());
   EXPECT_TRUE(queue.pop().has_value());
   EXPECT_FALSE(queue.pop().has_value());
+}
+
+TEST(StreamChaos, FeederDestructorReleasesABlockedPush) {
+  const std::vector<stream::ChurnEvent> events(
+      8, link_event(stream::ChurnKind::kLinkAdd, 1, 2));
+  stream::EventQueue queue{1, stream::QueuePolicy::kBlock};
+  {
+    const stream::QueueFeeder feeder{queue, events, 0};
+    while (queue.stats().blocked == 0) std::this_thread::yield();
+    EXPECT_FALSE(feeder.done());
+  }  // nobody pops: only the destructor's close() lets the push return
+  EXPECT_EQ(queue.stats().pushed, 1u);
+  EXPECT_EQ(queue.depth(), 1u);
 }
 
 }  // namespace

@@ -451,15 +451,7 @@ int main(int argc, char** argv) {
     snapshot = {};  // the engine serves its own flat copy
   }
   serve::EngineHub::EngineLoader loader;
-  if (!reload_path.empty()) {
-    loader = [reload_path](std::string* error)
-        -> std::shared_ptr<const serve::QueryEngine> {
-      const auto next =
-          io::FlatView::open_file(reload_path, error, /*deep_verify=*/false);
-      if (next == nullptr) return nullptr;
-      return std::make_shared<const serve::QueryEngine>(next);
-    };
-  }
+  if (!reload_path.empty()) loader = serve::flat_file_loader(reload_path);
   std::fprintf(stderr,
                "snapshot: %zu ASes, %zu edges, %zu links, %zu labels\n",
                initial_engine->num_ases(), initial_engine->num_edges(),
@@ -514,22 +506,12 @@ int main(int argc, char** argv) {
   // feed would outrun re-convergence.
   stream::EventQueue queue{static_cast<std::size_t>(args->queue_cap),
                            args->queue_policy};
-  std::atomic<bool> feeder_done{!live || applied_through >= churn.size()};
-  std::thread feeder;
-  if (live) {
-    feeder = std::thread([&queue, &churn, &feeder_done,
-                          start = applied_through] {
-      for (std::uint64_t seq = start; seq < churn.size(); ++seq) {
-        queue.push({seq, churn[seq]});
-      }
-      feeder_done.store(true);
-      queue.close();
-    });
-  }
+  std::optional<stream::QueueFeeder> feeder;
+  if (live) feeder.emplace(queue, churn, applied_through);
   bool feed_drained = !live || applied_through >= churn.size();
 
   const auto update_stream_status = [&](bool count_checkpoint,
-                                        const char* diff_section) {
+                                        const std::string& diff_section) {
     std::lock_guard lock{stream_status.mutex};
     stream_status.session = session->stats();
     stream_status.queue = queue.stats();
@@ -538,7 +520,7 @@ int main(int argc, char** argv) {
     stream_status.queue_policy = std::string{to_string(queue.policy())};
     stream_status.feed_position = applied_through;
     if (count_checkpoint) ++stream_status.checkpoints_written;
-    if (diff_section != nullptr) {
+    if (!diff_section.empty()) {
       stream_status.last_diff_section = diff_section;
     }
   };
@@ -646,14 +628,14 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(applied_through), churn.size(),
           redone);
 
-      const char* diff_section = nullptr;
+      std::string diff_section;
       if (args->watchdog_every > 0 &&
           session->epoch() %
                   static_cast<std::uint64_t>(args->watchdog_every) ==
               0) {
         const auto report = session->run_watchdog();
         if (report.diverged) {
-          diff_section = report.first_diff_section.c_str();
+          diff_section = report.first_diff_section;
           std::fprintf(stderr,
                        "stream: watchdog divergence in section '%s' (%s)\n",
                        report.first_diff_section.c_str(),
@@ -690,7 +672,7 @@ int main(int argc, char** argv) {
       next_batch_at = std::chrono::steady_clock::now() +
                       std::chrono::milliseconds(args->stream_interval_ms);
     }
-    if (live && !feed_drained && feeder_done.load() && queue.depth() == 0) {
+    if (live && !feed_drained && feeder->done() && queue.depth() == 0) {
       feed_drained = true;
       std::fprintf(stderr, "stream: churn feed drained, serving on\n");
     }
@@ -700,8 +682,7 @@ int main(int argc, char** argv) {
   if (live) {
     // Drain-aware shutdown: stop intake, let the feeder exit, and persist
     // a final checkpoint so the restart resumes exactly here.
-    queue.close();
-    if (feeder.joinable()) feeder.join();
+    feeder.reset();
     if (checkpoint_dir && !session->poisoned()) {
       std::string ckpt_error;
       if (checkpoint_dir->save(session->checkpoint(applied_through),

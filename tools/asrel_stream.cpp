@@ -32,7 +32,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "io/flat_snapshot.hpp"
@@ -271,13 +270,7 @@ int main(int argc, char** argv) {
   // was actually applied.
   stream::EventQueue queue{static_cast<std::size_t>(args->queue_cap),
                            args->queue_policy};
-  std::thread feeder{[&queue, &events, resume_from] {
-    for (std::size_t seq = static_cast<std::size_t>(resume_from);
-         seq < events.size(); ++seq) {
-      queue.push({seq, events[seq]});
-    }
-    queue.close();
-  }};
+  const stream::QueueFeeder feeder{queue, events, resume_from};
   std::uint64_t feed_position = resume_from;
   bool drained = false;
   while (!drained) {
@@ -316,7 +309,6 @@ int main(int argc, char** argv) {
                      "from-scratch rebuild at feed position %llu\n",
                      static_cast<unsigned long long>(session->epoch()),
                      static_cast<unsigned long long>(feed_position));
-        feeder.join();
         return 1;
       }
       std::fprintf(stderr, "epoch %llu verified (%zu bytes)\n",
@@ -348,7 +340,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  feeder.join();
   if (checkpoint_dir) {
     // Graceful drain: persist the final state so a restart resumes past
     // the end of the feed instead of replaying the tail.
