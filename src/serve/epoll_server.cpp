@@ -1,10 +1,14 @@
-// The event loops behind HttpServer's admission queue.
+// The event loops behind HttpServer: its only threads.
 //
 // Each loop owns an epoll fd, a wake eventfd, a timer wheel, and the
-// connections it has claimed from the bounded pending_ queue the acceptor
-// fills. Handlers run inline on the loop thread; that is deliberate: a
-// loop busy in a handler cannot claim queued connections, so overload
-// backs up into the bounded queue and sheds at admission.
+// connections it accepted itself. The shared listening socket sits in
+// every loop's epoll set (level-triggered, no EPOLLEXCLUSIVE); a loop that
+// sees it readable accepts at most one connection, admits it under the
+// open-connection cap or sheds it with 503, and serves it inline.
+// Handlers run inline on the loop thread; that is deliberate: a loop busy
+// in a handler accepts nothing, so overload backs up into the kernel
+// backlog, and the connection cap sheds whatever an idle loop accepts
+// beyond it.
 //
 // The throughput story is batching. One readiness event pulls every
 // available byte off the socket, the RequestAssembler slices the buffer
@@ -64,6 +68,18 @@ constexpr std::size_t kMaxReadPerEvent = 1 << 20;
 constexpr std::size_t kOutChunkTarget = 32 * 1024;
 constexpr int kMaxIov = 16;
 constexpr int kMaxEvents = 256;
+/// Largest request (headers plus declared body) a connection may send.
+constexpr std::size_t kMaxRequestBytes = 16 * 1024;
+
+/// accept() through the fault injector, retrying EINTR/ECONNABORTED.
+int accept_retrying(int listen_fd, obs::Counter& retried) {
+  auto& faults = fault::FaultInjector::instance();
+  for (;;) {
+    const int fd = faults.accept(listen_fd);
+    if (fd >= 0 || (errno != EINTR && errno != ECONNABORTED)) return fd;
+    retried.inc();
+  }
+}
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -74,8 +90,7 @@ void set_nonblocking(int fd) {
 
 struct HttpServer::EpollLoop {
   struct Conn {
-    explicit Conn(std::size_t max_request_bytes)
-        : assembler(max_request_bytes) {}
+    Conn() : assembler(kMaxRequestBytes) {}
 
     RequestAssembler assembler;
     /// Rendered-but-unsent response bytes; front chunk partially sent up
@@ -413,47 +428,63 @@ struct HttpServer::EpollLoop {
     close_conn(server, fd);  // idle keep-alive, cut silently
   }
 
-  /// Claims every queued connection. Runs between event batches, so a
-  /// loop stuck in a handler claims nothing — the queue backs up and the
-  /// acceptor sheds.
-  void claim_pending(HttpServer& server) {
-    for (;;) {
-      PendingConn pending;
-      {
-        std::lock_guard<std::mutex> lock{server.queue_mutex_};
-        if (server.pending_.empty()) return;
-        pending = server.pending_.front();
-        server.pending_.pop_front();
-      }
-      const int fd = pending.fd;
-      {
-        std::lock_guard<std::mutex> lock{server.active_mutex_};
-        server.active_fds_.insert(fd);
-      }
-      set_nonblocking(fd);
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      const auto now = Clock::now();
-      const auto it =
-          conns.try_emplace(fd, server.options_.max_request_bytes).first;
-      Conn& conn = it->second;
-      conn.assembler.seed_request_ids(pending.sequence);
-      conn.cycle_start = now;
-      conn.last_activity = now;
-      epoll_event event{};
-      event.events = EPOLLIN | EPOLLRDHUP;
-      event.data.fd = fd;
-      if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) != 0) {
-        close_conn(server, fd);
-        continue;
-      }
-      wheel.arm(static_cast<std::uint64_t>(fd),
-                now + std::chrono::milliseconds(
-                          server.options_.request_timeout_ms));
-      // The socket may already hold a full pipelined burst; serve it now
-      // rather than waiting for a (level-triggered, immediate) event.
-      on_readable(server, fd, conn);
+  /// fd exhaustion: frees the reserve, accepts the waiting connection with
+  /// it, sheds it (503 is better than leaving it in SYN limbo), then
+  /// restores the reserve. Without this, accept() fails in a hot loop
+  /// while the backlog never shrinks. Another loop may have taken the
+  /// connection meanwhile; then there is nothing to shed.
+  static void recover_fd_exhaustion(HttpServer& server) {
+    server.emfile_recoveries_->inc();
+    static obs::LogSite emfile_site{"serve.accept", "emfile_recovery", 10};
+    obs::log_event(emfile_site, obs::LogLevel::kError, 0);
+    std::lock_guard<std::mutex> lock{server.reserve_mutex_};
+    if (server.reserve_fd_ >= 0) ::close(server.reserve_fd_);
+    const int victim = ::accept(server.listen_fd_, nullptr, nullptr);
+    if (victim >= 0) server.shed_connection(victim);
+    server.reserve_fd_ = ::open("/dev/null", O_RDONLY);
+  }
+
+  /// Accepts at most one connection off the shared listener, then admits
+  /// and serves it, or sheds it when the open-connection cap is reached.
+  /// EAGAIN means another loop won this connect.
+  void accept_one(HttpServer& server) {
+    const int fd = accept_retrying(server.listen_fd_, *server.accept_retried_);
+    if (fd < 0) {
+      if (errno == EMFILE || errno == ENFILE) recover_fd_exhaustion(server);
+      return;
     }
+    server.accepted_->inc();
+    bool admitted = false;
+    {
+      std::lock_guard<std::mutex> lock{server.active_mutex_};
+      admitted = server.active_fds_.size() < server.options_.max_connections;
+      if (admitted) server.active_fds_.insert(fd);
+    }
+    if (!admitted) {
+      server.shed_connection(fd);
+      return;
+    }
+    set_nonblocking(fd);
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    const auto now = Clock::now();
+    Conn& conn = conns.try_emplace(fd).first->second;
+    conn.assembler.seed_request_ids(server.connection_sequence_.fetch_add(1));
+    conn.cycle_start = now;
+    conn.last_activity = now;
+    epoll_event event{};
+    event.events = EPOLLIN | EPOLLRDHUP;
+    event.data.fd = fd;
+    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) != 0) {
+      close_conn(server, fd);
+      return;
+    }
+    wheel.arm(static_cast<std::uint64_t>(fd),
+              now + std::chrono::milliseconds(
+                        server.options_.request_timeout_ms));
+    // The socket may already hold a full pipelined burst; serve it now
+    // rather than waiting for a (level-triggered, immediate) event.
+    on_readable(server, fd, conn);
   }
 };
 
@@ -471,10 +502,12 @@ bool HttpServer::epoll_start(std::string* error) {
       }
       return false;
     }
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.fd = loop->wake_fd;
-    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &event);
+    for (const int fd : {loop->wake_fd, listen_fd_}) {
+      epoll_event event{};
+      event.events = EPOLLIN;
+      event.data.fd = fd;
+      ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, fd, &event);
+    }
     loops_.push_back(std::move(loop));
   }
   workers_.reserve(loops_.size());
@@ -493,6 +526,22 @@ void HttpServer::wake_loops() {
   }
 }
 
+void HttpServer::close_listener() {
+  for (const auto& loop : loops_) {
+    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, listen_fd_, nullptr);
+  }
+  // A loop that saw the listener readable just before the DEL may still
+  // accept one more connection; it is admitted and drained like any
+  // other. Everything else in the backlog was never served: it reads the
+  // same 503 an admission shed sends, counted aborted.
+  for (int fd; (fd = accept_retrying(listen_fd_, *accept_retried_)) >= 0;) {
+    accepted_->inc();
+    refuse(fd);
+    aborted_->inc();
+  }
+  ::shutdown(listen_fd_, SHUT_RDWR);
+}
+
 void HttpServer::epoll_loop(EpollLoop& loop) {
   static obs::LogSite start_site{"serve.epoll", "loop_start", 0};
   static obs::LogSite exit_site{"serve.epoll", "loop_exit", 0};
@@ -503,8 +552,6 @@ void HttpServer::epoll_loop(EpollLoop& loop) {
   TimerWheel::Stats flushed{};
   std::array<epoll_event, kMaxEvents> events;
   while (!stopping_.load(std::memory_order_acquire)) {
-    loop.claim_pending(*this);
-    if (stopping_.load(std::memory_order_acquire)) break;
     const auto timeout = loop.wheel.poll_timeout(
         Clock::now(), std::chrono::milliseconds{100});
     const int ready =
@@ -519,8 +566,13 @@ void HttpServer::epoll_loop(EpollLoop& loop) {
     // long can this loop go unresponsive once woken".
     const auto iteration_started = Clock::now();
     epoll_ready_fds_->observe(static_cast<double>(ready));
+    bool listener_ready = false;
     for (int i = 0; i < ready; ++i) {
       const int fd = events[static_cast<std::size_t>(i)].data.fd;
+      if (fd == listen_fd_) {
+        listener_ready = true;
+        continue;
+      }
       if (fd == loop.wake_fd) {
         std::uint64_t drained = 0;
         [[maybe_unused]] const ssize_t n =
@@ -529,6 +581,9 @@ void HttpServer::epoll_loop(EpollLoop& loop) {
       }
       loop.on_event(*this, fd, events[static_cast<std::size_t>(i)].events);
     }
+    // Accept after this batch's connections are served, so one that
+    // closed in the batch frees its slot before the admission check.
+    if (listener_ready) loop.accept_one(*this);
     const auto now = Clock::now();
     loop.wheel.expire(
         now, [&](std::uint64_t id) {

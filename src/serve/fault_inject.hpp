@@ -7,7 +7,7 @@
 // server and the raw syscalls: every socket call in HttpServer and every
 // snapshot file read/write routes through FaultInjector, which either
 // passes straight through (the always-compiled-in, zero-cost-when-idle
-// path: one relaxed atomic load) or consults a seeded plan. It is its
+// path: one acquire load, a plain load on x86) or consults a seeded plan. It is its
 // own library (asrel_fault, linking only asrel_obs), so the snapshot
 // codec and the stream layer consult it without linking the server.
 //
@@ -113,8 +113,10 @@ class FaultInjector {
   /// Disables injection; wrappers revert to raw syscalls.
   void disarm();
 
+  /// Acquire pairs with arm()'s release store, so a wrapper that sees
+  /// the plan enabled also sees the plan arm() installed.
   [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
+    return enabled_.load(std::memory_order_acquire);
   }
   [[nodiscard]] FaultStats stats() const;
 

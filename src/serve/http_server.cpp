@@ -25,6 +25,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr int kListenBacklog = 128;
+/// Default span / event counts served by /tracez and /logz (?n= overrides).
+constexpr std::size_t kTracezDefaultSpans = 256;
+constexpr std::size_t kLogzDefaultEvents = 256;
+/// Slowest requests retained per route for /slowz.
+constexpr std::size_t kSlowRingCapacity = 8;
+
 /// Sends the whole buffer, tolerating partial writes and EINTR. Routed
 /// through the fault injector so chaos tests can force short writes.
 /// MSG_NOSIGNAL keeps a dead peer from raising SIGPIPE. Bytes that made it
@@ -53,9 +60,7 @@ bool send_all(int fd, std::string_view bytes,
 HttpServer::HttpServer(Handler handler, HttpServerOptions options)
     : handler_(std::move(handler)), options_(std::move(options)) {
   if (options_.worker_threads < 1) options_.worker_threads = 1;
-  if (options_.max_pending_connections < 1) {
-    options_.max_pending_connections = 1;
-  }
+  if (options_.max_connections < 1) options_.max_connections = 1;
   if (options_.request_deadline_ms < 1) options_.request_deadline_ms = 1;
 
   accepted_ = &metrics_.counter("asrel_http_connections_accepted_total",
@@ -107,13 +112,13 @@ HttpServer::HttpServer(Handler handler, HttpServerOptions options)
             "Request latency from dispatch to response queued "
             "(microseconds)"),
         "http " + route,
-        std::make_unique<obs::SlowRing>(options_.slow_ring_capacity)};
+        std::make_unique<obs::SlowRing>(kSlowRingCapacity)};
   }
   other_route_ = RouteObs{
       &metrics_.histogram("asrel_http_request_duration_us{route=\"other\"}",
                           obs::latency_buckets_us()),
       "http other",
-      std::make_unique<obs::SlowRing>(options_.slow_ring_capacity)};
+      std::make_unique<obs::SlowRing>(kSlowRingCapacity)};
 
   // Event-loop internals.
   static const std::vector<double> kReadySetBounds{1, 2, 4, 8, 16, 32, 64,
@@ -152,7 +157,7 @@ bool HttpServer::start(std::string* error) {
     return false;
   };
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0) return fail("socket()");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -165,7 +170,7 @@ bool HttpServer::start(std::string* error) {
              sizeof(address)) != 0) {
     return fail("bind()");
   }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     return fail("listen()");
   }
   socklen_t length = sizeof(address);
@@ -175,15 +180,14 @@ bool HttpServer::start(std::string* error) {
   }
   bound_port_ = ntohs(address.sin_port);
 
-  // The emergency fd: held open so that under EMFILE the acceptor can
-  // close it, accept the waiting connection, shed it politely, and
-  // reopen the reserve — instead of spinning on accept() forever.
+  // The emergency fd: held open so that under EMFILE a loop can close
+  // it, accept the waiting connection, shed it politely, and reopen the
+  // reserve — instead of spinning on accept() forever.
   reserve_fd_ = ::open("/dev/null", O_RDONLY);
 
   stopping_.store(false, std::memory_order_release);
   draining_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  acceptor_ = std::thread{[this] { accept_loop(); }};
   if (!epoll_start(error)) {
     stop();
     return false;
@@ -192,7 +196,6 @@ bool HttpServer::start(std::string* error) {
 }
 
 void HttpServer::join_all() {
-  if (acceptor_.joinable()) acceptor_.join();
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -213,14 +216,6 @@ void HttpServer::stop() {
   stopping_.store(true, std::memory_order_release);
 
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  {
-    std::lock_guard<std::mutex> lock{queue_mutex_};
-    for (const PendingConn& conn : pending_) {
-      ::close(conn.fd);
-      aborted_->inc();
-    }
-    pending_.clear();
-  }
   {
     std::lock_guard<std::mutex> lock{active_mutex_};
     for (const int fd : active_fds_) {
@@ -243,14 +238,11 @@ DrainReport HttpServer::drain() {
   obs::log_event(drain_begin_site, obs::LogLevel::kInfo, 0,
                  {{"deadline_ms", options_.drain_deadline_ms}});
 
-  // Phase 1: stop admitting. Shutting down the listen socket pops the
-  // acceptor out of accept(); joining it here means no new connection can
-  // race into the queue after this point.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  wake_loops();
+  // Phase 1: stop admitting. The listener leaves every loop's epoll set,
+  // and whatever was still in the kernel backlog gets the shed 503.
+  close_listener();
 
-  // Phase 2: let the loops finish the queue and in-flight connections.
+  // Phase 2: let the loops finish in-flight connections.
   // A connection closes after the response it is currently serving (the
   // loops answer with Connection: close while draining_), so "drained"
   // converges fast for busy connections; idle keep-alives wait here until
@@ -259,30 +251,14 @@ DrainReport HttpServer::drain() {
       Clock::now() + std::chrono::milliseconds(options_.drain_deadline_ms);
   for (;;) {
     {
-      std::scoped_lock lock{queue_mutex_, active_mutex_};
-      if (pending_.empty() && active_fds_.empty()) break;
+      std::lock_guard<std::mutex> lock{active_mutex_};
+      if (active_fds_.empty()) break;
     }
     if (Clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
-  // Phase 3: the grace period is over — abort stragglers. Connections
-  // still queued were never served at all, so they get the standard shed
-  // 503 (Retry-After and all) before the close: from the client's side an
-  // aborted-by-drain connection looks exactly like an admission shed,
-  // just counted as aborted because it had already been accepted.
-  {
-    std::lock_guard<std::mutex> lock{queue_mutex_};
-    for (const PendingConn& conn : pending_) {
-      send_all(conn.fd,
-               render_http_response(
-                   make_shed_response(options_.retry_after_hint_s), false),
-               bytes_written_);
-      ::close(conn.fd);
-      aborted_->inc();
-    }
-    pending_.clear();
-  }
+  // Phase 3: the grace period is over — abort stragglers.
   {
     std::lock_guard<std::mutex> lock{active_mutex_};
     for (const int fd : active_fds_) {
@@ -339,76 +315,24 @@ void HttpServer::note_deadline_exceeded(const std::string& route,
   ++deadline_by_route_[route];
 }
 
-/// Answers 503 + Retry-After on a connection we will not serve, then
-/// closes it. Used by both shed paths (queue full, fd exhaustion); the
-/// drain-time abort of queued connections sends the same bytes.
 void HttpServer::shed_connection(int fd) {
   overload_rejected_->inc();
   // Rate-capped: a shed storm is exactly when the log must not flood.
   static obs::LogSite shed_site{"serve.accept", "shed", 10};
   obs::log_event(shed_site, obs::LogLevel::kWarn, 0,
-                 {{"pending_cap", options_.max_pending_connections},
+                 {{"max_connections", options_.max_connections},
                   {"retry_after_s", options_.retry_after_hint_s}});
+  refuse(fd);
+}
+
+/// The one shed response: admission sheds, fd-exhaustion sheds and
+/// drain's backlog abort all send these bytes.
+void HttpServer::refuse(int fd) {
   send_all(fd,
            render_http_response(make_shed_response(options_.retry_after_hint_s),
                                 false),
            bytes_written_);
   ::close(fd);
-}
-
-void HttpServer::accept_loop() {
-  auto& faults = fault::FaultInjector::instance();
-  while (!stopping_.load(std::memory_order_acquire) &&
-         !draining_.load(std::memory_order_acquire)) {
-    const int fd = faults.accept(listen_fd_);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire) ||
-          draining_.load(std::memory_order_acquire)) {
-        break;
-      }
-      if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
-          errno == EWOULDBLOCK) {
-        accept_retried_->inc();
-        continue;
-      }
-      if (errno == EMFILE || errno == ENFILE) {
-        // fd exhaustion: free the reserve, accept the waiting connection
-        // with it, shed it (503 is better than leaving it in SYN limbo),
-        // then restore the reserve. Without this, accept() fails in a
-        // hot loop while the backlog never shrinks.
-        emfile_recoveries_->inc();
-        static obs::LogSite emfile_site{"serve.accept", "emfile_recovery", 10};
-        obs::log_event(emfile_site, obs::LogLevel::kError, 0);
-        if (reserve_fd_ >= 0) {
-          ::close(reserve_fd_);
-          reserve_fd_ = -1;
-        }
-        const int victim = ::accept(listen_fd_, nullptr, nullptr);
-        if (victim >= 0) shed_connection(victim);
-        reserve_fd_ = ::open("/dev/null", O_RDONLY);
-        continue;
-      }
-      break;  // listen socket is gone; stop() handles the rest
-    }
-    accepted_->inc();
-    bool rejected = false;
-    {
-      std::lock_guard<std::mutex> lock{queue_mutex_};
-      if (pending_.size() >= options_.max_pending_connections) {
-        rejected = true;
-      } else {
-        // The sequence is assigned under the queue lock but only ever
-        // written by this (single) acceptor thread; it seeds the
-        // connection's deterministic request-id stream.
-        pending_.push_back(PendingConn{fd, connection_sequence_++});
-      }
-    }
-    if (rejected) {
-      shed_connection(fd);
-    } else {
-      wake_loops();
-    }
-  }
 }
 
 void HttpServer::observe_request(const std::string& path,
@@ -528,7 +452,7 @@ std::string HttpServer::metricsz_body() const {
 }
 
 std::string HttpServer::tracez_body(const HttpRequest& request) const {
-  std::size_t n = options_.tracez_default_spans;
+  std::size_t n = kTracezDefaultSpans;
   if (const std::string* param = request.query_param("n")) {
     const long parsed = std::strtol(param->c_str(), nullptr, 10);
     if (parsed > 0) n = static_cast<std::size_t>(parsed);
@@ -575,7 +499,7 @@ std::string HttpServer::tracez_body(const HttpRequest& request) const {
 }
 
 std::string HttpServer::logz_body(const HttpRequest& request) const {
-  std::size_t n = options_.logz_default_events;
+  std::size_t n = kLogzDefaultEvents;
   if (const std::string* param = request.query_param("n")) {
     const long parsed = std::strtol(param->c_str(), nullptr, 10);
     if (parsed > 0) n = static_cast<std::size_t>(parsed);
@@ -615,8 +539,7 @@ std::string HttpServer::slowz_body() const {
 
   JsonWriter json;
   json.begin_object();
-  json.field("capacity",
-             static_cast<std::uint64_t>(options_.slow_ring_capacity));
+  json.field("capacity", static_cast<std::uint64_t>(kSlowRingCapacity));
   json.key("routes").begin_object();
   const auto render_route = [&json](const std::string& name,
                                     const obs::SlowRing& ring) {

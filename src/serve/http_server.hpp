@@ -1,13 +1,15 @@
 // HTTP/1.1 server over POSIX sockets.
 //
-// Concurrency model: one acceptor thread pushes connections onto a
-// bounded queue; when the queue is full the acceptor sheds load with an
-// immediate 503 + Retry-After instead of letting the backlog grow — the
-// bound, not the kernel backlog, is the system's admission control.
-// Behind the queue, event loops over nonblocking sockets
-// (serve/epoll_server.cpp) claim queued connections, parse pipelined
+// Concurrency model: N event loops over nonblocking sockets
+// (serve/epoll_server.cpp), and no other thread. The one nonblocking
+// listening socket sits in every loop's epoll set, level-triggered: every
+// idle loop wakes on a connect, one wins the accept, and it admits and
+// serves the connection inline. Admission control is a cap on open
+// connections (max_connections): a connect beyond it is answered with an
+// immediate 503 + Retry-After and closed. Connections a busy server has
+// not accepted yet wait in the kernel backlog. A loop parses pipelined
 // requests out of a per-connection carried-over buffer
-// (serve/request_assembler), run handlers inline, and flush batched
+// (serve/request_assembler), runs handlers inline, and flushes batched
 // responses with writev — the syscall-amortized path that serves
 // pipelined keep-alive bursts at memory speed. The bytes of every response
 // are pinned by tests/golden/wire_transcript.http.
@@ -18,15 +20,17 @@
 // whenever data arrives, bounds slow-trickle (slowloris-style) uploads
 // that would otherwise reset the stall timer byte by byte.
 //
-// Robustness: the accept loop retries EINTR/ECONNABORTED and survives fd
+// Robustness: accept retries EINTR/ECONNABORTED and survives fd
 // exhaustion (EMFILE/ENFILE) via a reserved emergency fd — close it,
-// accept the waiting connection, close that, reopen the reserve — instead
-// of spinning. All socket syscalls route through the deterministic
+// accept the waiting connection, shed it, reopen the reserve — instead
+// of spinning. Two loops can reach that path at once, so it is
+// serialized. All socket syscalls route through the deterministic
 // fault-injection layer (serve/fault_inject.*), which is zero-cost unless
 // a chaos test arms it.
 //
 // Shutdown comes in two shapes: stop() aborts everything immediately;
-// drain() stops accepting, lets in-flight connections finish within a
+// drain() stops accepting, answers whatever is still in the kernel
+// backlog with the shed 503, lets in-flight connections finish within a
 // deadline, force-closes stragglers, and reports drained/aborted counts.
 //
 // /healthz, /statsz, /metricsz (Prometheus text exposition), /tracez
@@ -42,7 +46,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -102,15 +105,14 @@ struct HttpServerOptions {
   std::uint16_t port = 0;  ///< 0 = ephemeral; see HttpServer::port()
   /// Number of event loops (threads) serving connections.
   int worker_threads = 4;
-  int listen_backlog = 128;
-  std::size_t max_pending_connections = 256;  ///< bounded accept queue
+  /// Open-connection cap: a connect beyond it is shed with 503.
+  std::size_t max_connections = 256;
   /// Stall/idle timeout on the loop's timer wheel: a connection with no
   /// read or write progress for this long is cut (408 mid-request).
   int request_timeout_ms = 5000;
   int request_deadline_ms = 10000; ///< total wall clock per request
   int drain_deadline_ms = 5000;    ///< grace period for drain()
   int retry_after_hint_s = 1;      ///< Retry-After on shed 503s
-  std::size_t max_request_bytes = 16 * 1024;
   /// Extra JSON object spliced into /statsz under "app" (e.g. cache hit
   /// rates). Must return a valid JSON object or an empty string.
   std::function<std::string()> stats_supplement;
@@ -122,12 +124,6 @@ struct HttpServerOptions {
   /// Extra scrape-time metrics appended to /metricsz (e.g. cache stats of
   /// the current snapshot epoch).
   std::function<void(std::vector<obs::MetricSnapshot>&)> metrics_supplement;
-  /// Default span count served by /tracez (override per request with ?n=).
-  std::size_t tracez_default_spans = 256;
-  /// Default event count served by /logz (override per request with ?n=).
-  std::size_t logz_default_events = 256;
-  /// Slowest requests retained per route for /slowz.
-  std::size_t slow_ring_capacity = 8;
   /// Supplier of the snapshot epoch currently being served, stamped into
   /// /slowz entries so an outlier can be tied to the epoch that answered
   /// it. Must be thread-safe; unset reads as epoch 0.
@@ -144,7 +140,7 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and spawns the acceptor + event loops. Returns false and
+  /// Binds, listens, and spawns the event loops. Returns false and
   /// fills `*error` on socket errors (port in use, ...).
   [[nodiscard]] bool start(std::string* error = nullptr);
 
@@ -152,10 +148,10 @@ class HttpServer {
   /// Idempotent; also called by the destructor.
   void stop();
 
-  /// Graceful stop: stops accepting, serves queued + in-flight
-  /// connections to completion within options.drain_deadline_ms, then
-  /// force-closes the rest. Idempotent with stop(); returns how many
-  /// connections finished vs were aborted.
+  /// Graceful stop: stops accepting, sheds the kernel backlog with 503,
+  /// serves in-flight connections to completion within
+  /// options.drain_deadline_ms, then force-closes the rest. Idempotent
+  /// with stop(); returns how many connections finished vs were aborted.
   DrainReport drain();
 
   /// The bound port (useful with port = 0). Valid after start().
@@ -188,7 +184,6 @@ class HttpServer {
   };
 
  private:
-  void accept_loop();
   // ---- event loops (serve/epoll_server.cpp) ----
   /// Per-loop state: epoll fd, wake eventfd, connections, timer wheel.
   /// Defined in epoll_server.cpp; held by shared_ptr so this header stays
@@ -196,9 +191,16 @@ class HttpServer {
   struct EpollLoop;
   [[nodiscard]] bool epoll_start(std::string* error);
   void epoll_loop(EpollLoop& loop);
-  /// Kicks every event loop's eventfd (new queued connection, stop, drain).
+  /// Kicks every event loop's eventfd (stop, drain).
   void wake_loops();
+  /// Drain's first step: takes the listener out of every loop's epoll
+  /// set, answers the kernel backlog with the shed 503 (counted aborted),
+  /// and shuts the listener down.
+  void close_listener();
+  /// Counts and logs an admission shed, then refuses the connection.
   void shed_connection(int fd);
+  /// Sends the shed 503 + Retry-After and closes the connection.
+  void refuse(int fd);
   void note_deadline_exceeded(const std::string& route,
                               std::uint64_t request_id = 0);
   void observe_request(const std::string& path, std::uint64_t duration_us,
@@ -222,20 +224,14 @@ class HttpServer {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};
 
-  std::thread acceptor_;
   std::vector<std::thread> workers_;  ///< one thread per event loop
   std::vector<std::shared_ptr<EpollLoop>> loops_;
 
-  std::mutex queue_mutex_;
-  /// Accepted, not-yet-claimed connections. The sequence number (accept
-  /// order) seeds the connection's request-id stream, making ids a pure
-  /// function of (server, accept order, request index).
-  struct PendingConn {
-    int fd = -1;
-    std::uint64_t sequence = 0;
-  };
-  std::deque<PendingConn> pending_;
-  std::uint64_t connection_sequence_ = 0;  ///< acceptor thread only
+  /// Admission order. Each admitted connection takes the next value to
+  /// seed its request-id stream, making ids a pure function of (server,
+  /// accept order, request index).
+  std::atomic<std::uint64_t> connection_sequence_{0};
+  std::mutex reserve_mutex_;  ///< serializes the EMFILE path's reserve fd
 
   mutable std::mutex active_mutex_;
   std::unordered_set<int> active_fds_;

@@ -96,7 +96,7 @@ class JsonWriter {
     separate();
     json_quote_into(out_, name);
     out_.push_back(':');
-    pending_value_ = true;
+    after_key_ = true;
     return *this;
   }
 
@@ -160,8 +160,8 @@ class JsonWriter {
 
  private:
   void separate() {
-    if (pending_value_) {
-      pending_value_ = false;
+    if (after_key_) {
+      after_key_ = false;
       return;
     }
     if (!fresh_ && !out_.empty() && out_.back() != '{' &&
@@ -173,7 +173,7 @@ class JsonWriter {
 
   std::string out_;
   bool fresh_ = true;
-  bool pending_value_ = false;
+  bool after_key_ = false;
 };
 
 }  // namespace asrel::serve

@@ -11,8 +11,8 @@
 // size limits; header semantics stay in parse_http_request. Bodies are
 // read and discarded, mirroring the server's drain-and-ignore policy.
 //
-// The assembler is also where request identity is minted: the acceptor
-// seeds each connection with a deterministic per-connection value, and
+// The assembler is also where request identity is minted: the accepting
+// event loop seeds each connection with a deterministic per-connection value, and
 // every request pulled off the wire gets the next splitmix64 id from
 // that stream (unless the client supplied a valid X-Request-Id, which
 // wins). Ids are therefore a pure function of (server, accept order,
@@ -56,9 +56,9 @@ class RequestAssembler {
 
   [[nodiscard]] std::size_t buffered_bytes() const { return buffer_.size(); }
 
-  /// Seeds this connection's request-id stream. The acceptor passes its
-  /// per-server connection sequence number, so ids are deterministic for
-  /// a given accept order.
+  /// Seeds this connection's request-id stream. The accepting loop passes
+  /// the per-server connection sequence number, so ids are deterministic
+  /// for a given accept order.
   void seed_request_ids(std::uint64_t connection_sequence) {
     id_state_ = connection_sequence;
   }

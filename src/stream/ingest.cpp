@@ -127,6 +127,11 @@ void EventQueue::close() {
   ready_.notify_all();
 }
 
+bool EventQueue::closed() const {
+  std::lock_guard lock{mutex_};
+  return closed_;
+}
+
 std::size_t EventQueue::depth() const {
   std::lock_guard lock{mutex_};
   return items_.size();
@@ -142,7 +147,7 @@ QueueFeeder::QueueFeeder(EventQueue& queue,
                          std::uint64_t start)
     : queue_(queue), thread_([this, events, start] {
         for (std::uint64_t seq = start; seq < events.size(); ++seq) {
-          queue_.push({seq, events[seq]});
+          if (!queue_.push({seq, events[seq]}) && queue_.closed()) return;
         }
         done_.store(true);
         queue_.close();

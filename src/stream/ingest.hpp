@@ -21,7 +21,8 @@
 // QueueFeeder is the producer both tools run: one thread pushing a feed
 // into the queue. Its destructor closes the queue before joining, so a
 // consumer that leaves early (a failed verify, a shutdown) never strands
-// a kBlock push waiting for space.
+// a kBlock push waiting for space; the feeder stops at the first push a
+// closed queue refuses, so only that in-flight event counts as shed.
 #pragma once
 
 #include <atomic>
@@ -67,6 +68,7 @@ class EventQueue {
   /// Stops intake and wakes every waiter; queued events stay poppable so
   /// shutdown drains instead of dropping.
   void close();
+  [[nodiscard]] bool closed() const;
 
   [[nodiscard]] std::size_t depth() const;
   [[nodiscard]] std::size_t cap() const { return cap_; }

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -340,10 +341,10 @@ TEST(EpollChaos, EmfileShedCarriesRetryAfter) {
     EXPECT_GT(server.stats().emfile_recoveries, 0u);
   }
 
-  // Faults disarmed: service resumes on the same listener. The acceptor
-  // may still be parked inside one in-flight emergency accept (which
-  // sheds whatever connects next), so allow a couple of sacrificial
-  // connections before demanding a 200.
+  // Faults disarmed: service resumes on the same listener. A loop may
+  // still be inside one in-flight emergency accept (which sheds whatever
+  // connects next), so allow a couple of sacrificial connections before
+  // demanding a 200.
   bool served = false;
   for (int i = 0; i < 10 && !served; ++i) {
     Client recovered{server.port()};
@@ -358,7 +359,7 @@ TEST(EpollChaos, EmfileShedCarriesRetryAfter) {
 
 TEST(EpollChaos, DrainAbortsQueuedConnectionsWithShed503) {
   auto options = epoll_options();
-  options.worker_threads = 1;  // one loop, so a slow handler blocks claims
+  options.worker_threads = 1;  // one loop, so a slow handler blocks accepts
   options.drain_deadline_ms = 100;
   options.retry_after_hint_s = 5;
   std::promise<void> slow_entered;
@@ -375,9 +376,9 @@ TEST(EpollChaos, DrainAbortsQueuedConnectionsWithShed503) {
   ASSERT_TRUE(server.start(&error)) << error;
 
   // busy occupies the single event loop for longer than the drain grace
-  // period; queued connects only once the loop is inside that handler and
-  // the drain starts only once the acceptor has queued it, so it is still
-  // in the pending queue when the grace period expires.
+  // period, and queued connects only once the loop is inside that
+  // handler. connect() returning means the kernel holds queued in the
+  // listener's backlog, where no loop can accept it before the drain.
   Client busy{server.port()};
   ASSERT_TRUE(busy.connected());
   ASSERT_TRUE(busy.send_raw("GET /slow HTTP/1.1\r\nHost: epoll\r\n\r\n"));
@@ -385,15 +386,10 @@ TEST(EpollChaos, DrainAbortsQueuedConnectionsWithShed503) {
             std::future_status::ready);
   Client queued{server.port()};
   ASSERT_TRUE(queued.connected());
-  const auto accept_deadline = std::chrono::steady_clock::now() + 10s;
-  while (server.stats().accepted < 2 &&
-         std::chrono::steady_clock::now() < accept_deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_EQ(server.stats().accepted, 2u);
 
   const serve::DrainReport report = server.drain();
-  EXPECT_GE(report.aborted, 1u);
+  // Two aborts: queued out of the backlog, busy at the grace deadline.
+  EXPECT_EQ(report.aborted, 2u);
 
   // The never-served connection gets the standard shed response — the
   // same single builder as admission and EMFILE sheds, Retry-After
@@ -403,6 +399,46 @@ TEST(EpollChaos, DrainAbortsQueuedConnectionsWithShed503) {
   EXPECT_EQ(queued.read_response(&body, &headers), 503);
   EXPECT_NE(headers.find("Retry-After: 5"), std::string::npos) << headers;
   EXPECT_NE(body.find("overloaded"), std::string::npos) << body;
+}
+
+// ------------------------------------------------- shared-listener accept
+
+TEST(EpollChaos, ConcurrentConnectsAcrossLoopsGetDistinctRequestIds) {
+  auto options = epoll_options();
+  options.worker_threads = 4;
+  serve::HttpServer server{
+      [](const serve::HttpRequest&) {
+        return serve::HttpResponse::json(200, R"({"pong":true})");
+      },
+      options};
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // Four loops race to accept from the one listener; every connection is
+  // admitted exactly once, and its request-id stream is seeded from a
+  // sequence no two connections share.
+  constexpr int kConnections = 32;
+  std::vector<std::future<std::string>> ids;
+  for (int i = 0; i < kConnections; ++i) {
+    ids.push_back(std::async(std::launch::async, [&server] {
+      Client client{server.port()};
+      std::string headers;
+      if (client.get("/ping", nullptr, &headers) != 200) return std::string{};
+      const std::size_t at = headers.find("X-Request-Id: ");
+      return at == std::string::npos ? std::string{}
+                                     : headers.substr(at + 14, 16);
+    }));
+  }
+  std::set<std::string> distinct;
+  for (auto& id : ids) {
+    const std::string value = id.get();
+    EXPECT_EQ(value.size(), 16u) << "a connection was not served 200";
+    distinct.insert(value);
+  }
+  EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kConnections));
+  EXPECT_EQ(server.stats().accepted, static_cast<std::uint64_t>(kConnections));
+  EXPECT_EQ(server.stats().overload_rejected, 0u);
+  server.stop();
 }
 
 // --------------------------------------------- reload under pipelined load

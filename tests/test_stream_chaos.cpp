@@ -462,7 +462,25 @@ TEST(StreamChaos, FeederDestructorReleasesABlockedPush) {
     EXPECT_FALSE(feeder.done());
   }  // nobody pops: only the destructor's close() lets the push return
   EXPECT_EQ(queue.stats().pushed, 1u);
+  EXPECT_EQ(queue.stats().shed, 1u);  // the in-flight push, not the rest
   EXPECT_EQ(queue.depth(), 1u);
+}
+
+TEST(StreamChaos, FeederKeepsOfferingPastKShedSaturation) {
+  const std::vector<stream::ChurnEvent> events(
+      8, link_event(stream::ChurnKind::kLinkAdd, 1, 2));
+  stream::EventQueue queue{1, stream::QueuePolicy::kShed};
+  const stream::QueueFeeder feeder{queue, events, 0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (!feeder.done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(feeder.done());
+  // Nobody pops: the first event fills the queue and the other seven are
+  // saturation drops, each offered and counted, not a stop.
+  EXPECT_EQ(queue.stats().pushed, 1u);
+  EXPECT_EQ(queue.stats().shed, 7u);
 }
 
 }  // namespace

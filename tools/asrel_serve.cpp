@@ -31,11 +31,15 @@
 //   --queue-cap N           bounded ingest queue between the churn feeder
 //   --queue-policy P        and the apply loop: block | shed | coalesce
 //
+// Admission:
+//   --max-connections N     open-connection cap; beyond it, 503 + Retry-After
+//
 // Operations:
 //   SIGHUP          hot-reload the snapshot file (zero downtime; in-flight
 //                   requests finish on the old epoch)
 //   POST /reloadz   same swap over HTTP; answers the new epoch or the error
-//   SIGINT/SIGTERM  graceful drain: stop accepting, finish in-flight
+//   SIGINT/SIGTERM  graceful drain: stop accepting, answer connections
+//                   not yet accepted with 503, finish in-flight
 //                   connections within --drain-ms, then exit
 //
 // Observability:
@@ -97,7 +101,7 @@ struct Args {
   int timeout_ms = 5000;
   int deadline_ms = 10000;
   int drain_ms = 5000;
-  int max_pending = 256;   ///< admission-queue bound (503 shed beyond it)
+  int max_connections = 256;  ///< open-connection cap (503 shed beyond it)
   bool trace = false;      ///< record server spans (served via /tracez)
   int log_stderr = -1;     ///< stderr log sink level; -1 = off
   std::string crash_dir;   ///< arm the crash flight recorder here
@@ -124,7 +128,7 @@ int usage() {
       "usage:\n"
       "  asrel_serve --snapshot FILE [--port P] [--threads N]\n"
       "              [--timeout-ms MS] [--deadline-ms MS] [--drain-ms MS]\n"
-      "              [--max-pending N] [--trace]\n"
+      "              [--max-connections N] [--trace]\n"
       "              [--log-stderr debug|info|warn|error] [--crash-dir DIR]\n"
       "  asrel_serve --generate [--as-count N] [--seed S] [--save FILE]\n"
       "              [--port P] [--threads N]\n"
@@ -179,8 +183,8 @@ std::optional<Args> parse_args(int argc, char** argv) {
       args.deadline_ms = std::atoi(value);
     } else if (flag == "--drain-ms") {
       args.drain_ms = std::atoi(value);
-    } else if (flag == "--max-pending") {
-      args.max_pending = std::atoi(value);
+    } else if (flag == "--max-connections") {
+      args.max_connections = std::atoi(value);
     } else if (flag == "--log-stderr") {
       args.log_stderr = parse_log_level(value);
       if (args.log_stderr == -2) {
@@ -470,8 +474,8 @@ int main(int argc, char** argv) {
   options.request_timeout_ms = args->timeout_ms;
   options.request_deadline_ms = args->deadline_ms;
   options.drain_deadline_ms = args->drain_ms;
-  options.max_pending_connections =
-      static_cast<std::size_t>(args->max_pending < 1 ? 1 : args->max_pending);
+  options.max_connections = static_cast<std::size_t>(
+      args->max_connections < 1 ? 1 : args->max_connections);
   options.stats_supplement = [&service] { return service.stats_json(); };
   options.metrics_routes = serve::AsrelService::metric_routes();
   options.metrics_supplement =
