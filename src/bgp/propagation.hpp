@@ -6,7 +6,10 @@
 //   2. across — one peer hop for ASes holding a customer route,
 //   3. down  — everything descends provider->customer edges.
 // Route selection at every AS: prefer customer > peer > provider routes,
-// then shorter AS path, then lowest next-hop ASN.
+// then the shorter AS path (prepending included), then the next hop that
+// ranks lowest under a per-origin hash of its ASN (`tie_rank`). The hash is
+// a bijection of the ASN for a fixed origin, so no two next hops tie and
+// the selection never depends on visiting order.
 //
 // The engine honors the paper's §6.1 mechanics: a P2C edge with a restricted
 // export scope stops the provider from redistributing that customer's routes
@@ -15,6 +18,18 @@
 // to one of their two relationships per origin (PoP-dependent routing).
 // Deterministic AS-path prepending models region-dependent traffic
 // engineering (Marcos et al., cited in §2).
+//
+// Layout: each Propagator builds a role-split adjacency once — a CSR over
+// NodeId whose per-node segments are providers | siblings | customers |
+// peers | hybrid — so phase 1 walks one contiguous range (providers and
+// siblings), phase 2 the peers and phase 3 another (siblings and
+// customers). Only hybrid entries resolve their role per origin. The
+// adjacency is a snapshot of the graph: after mutating the graph in place,
+// call rebuild_adjacency() before the next propagate(), which throws
+// std::logic_error on a graph whose generation() moved since the build.
+// propagate() keeps its working state (settled flags, distance buckets,
+// the settled list, peer candidates) in per-thread scratch reused across
+// origins, so a pool worker allocates only the returned rib.
 #pragma once
 
 #include <cstdint>
@@ -77,11 +92,17 @@ class Propagator {
  public:
   Propagator(const topo::World& world, PropagationParams params);
 
-  /// Full best-route computation for one origin (O(E)).
+  /// Full best-route computation for one origin (O(E)). Throws
+  /// std::logic_error if the graph changed since the adjacency was built.
   [[nodiscard]] OriginRib propagate(asn::Asn origin) const;
 
+  /// Re-reads the graph's adjacency after in-place edge mutations, in one
+  /// O(V+E) pass. The node set must be unchanged (std::logic_error).
+  void rebuild_adjacency();
+
   /// AS path `node` uses toward the rib's origin: [node, ..., origin],
-  /// with prepending expanded. Empty if unreachable.
+  /// with prepending expanded (1 + rib.dist[node] hops). Empty if
+  /// unreachable.
   [[nodiscard]] std::vector<asn::Asn> path_at(const OriginRib& rib,
                                               topo::NodeId node) const;
 
@@ -117,6 +138,27 @@ class Propagator {
                                   std::span<const topo::EdgeId> touched) const;
 
  private:
+  /// Adjacency segments, in storage order within each node's range.
+  enum Segment : std::size_t {
+    kProviders,
+    kSiblings,
+    kCustomers,
+    kPeers,
+    kHybrid,
+    kSegmentCount,
+  };
+  struct Hop {
+    topo::NodeId node;
+    topo::EdgeId edge;
+  };
+  /// `node`'s entries in segments first..last (inclusive).
+  [[nodiscard]] std::span<const Hop> hops(topo::NodeId node, Segment first,
+                                          Segment last) const {
+    const std::size_t base = std::size_t{node} * kSegmentCount;
+    return {hops_.data() + segment_begin_[base + first],
+            hops_.data() + segment_begin_[base + last + 1]};
+  }
+
   /// Role of `self` on `edge` for this origin, after hybrid resolution.
   [[nodiscard]] topo::Neighbor::Role role_on(const topo::Edge& edge,
                                              topo::NodeId self,
@@ -128,6 +170,9 @@ class Propagator {
   const topo::World* world_;
   PropagationParams params_;
   std::vector<double> prepend_propensity_;  // by NodeId
+  std::vector<std::uint32_t> segment_begin_;  // node * kSegmentCount + seg
+  std::vector<Hop> hops_;
+  std::uint64_t generation_ = 0;  // graph generation the adjacency reflects
 };
 
 /// All AS paths observed by a set of collector vantage points.
@@ -187,6 +232,16 @@ class PathTable {
   void resize_origins(std::size_t count) { per_origin_.resize(count); }
   void add_path(topo::NodeId origin, std::uint32_t vp_index,
                 std::span<const asn::Asn> path);
+  /// Reserves room for `paths` more paths of `hops` total hops in one
+  /// origin's bucket, so the append_path calls that follow do not
+  /// reallocate.
+  void reserve_origin(topo::NodeId origin, std::size_t paths,
+                      std::size_t hops);
+  /// Appends a path of `length` hops and returns its slots to fill. The
+  /// span is valid until the bucket's next append or clear.
+  [[nodiscard]] std::span<asn::Asn> append_path(topo::NodeId origin,
+                                                std::uint32_t vp_index,
+                                                std::size_t length);
   /// Drops one origin's paths so an incremental update can re-harvest just
   /// that bucket (src/stream). Call recount() before trusting path_count().
   void clear_origin(topo::NodeId origin);

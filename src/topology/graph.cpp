@@ -10,6 +10,7 @@ NodeId AsGraph::add_node(asn::Asn asn) {
   nodes_.push_back(asn);
   adjacency_.emplace_back();
   index_.emplace(asn, id);
+  ++generation_;
   return id;
 }
 
@@ -53,6 +54,7 @@ std::optional<EdgeId> AsGraph::add_edge(asn::Asn a, asn::Asn b,
   adjacency_[na].push_back({nb, id, role_from(na)});
   adjacency_[nb].push_back({na, id, role_from(nb)});
   ++live_edge_count_;
+  ++generation_;
   return id;
 }
 
@@ -89,6 +91,7 @@ bool AsGraph::remove_edge(EdgeId id) {
   drop_entry(edge.v);
   edge.removed = true;
   --live_edge_count_;
+  ++generation_;
   return true;
 }
 
@@ -116,6 +119,7 @@ bool AsGraph::set_edge_rel(EdgeId id, RelType rel, NodeId provider) {
   };
   patch_entry(edge.u);
   patch_entry(edge.v);
+  ++generation_;
   return true;
 }
 
@@ -130,6 +134,7 @@ void AsGraph::restore_edges(std::vector<Edge> edges) {
     adjacency_[edge.v].push_back({edge.u, id, role_on_edge(edge, edge.v)});
     ++live_edge_count_;
   }
+  ++generation_;
 }
 
 bool AsGraph::set_edge_scope(EdgeId id, ExportScope scope,
@@ -139,6 +144,7 @@ bool AsGraph::set_edge_scope(EdgeId id, ExportScope scope,
   if (edge.rel != RelType::kP2C) return false;
   edge.scope = scope;
   edge.scope_via_community = via_community;
+  ++generation_;
   return true;
 }
 

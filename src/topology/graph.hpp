@@ -120,7 +120,17 @@ class AsGraph {
   [[nodiscard]] std::span<const asn::Asn> nodes() const { return nodes_; }
   [[nodiscard]] std::span<const Edge> edges() const { return edges_; }
   [[nodiscard]] const Edge& edge(EdgeId id) const { return edges_[id]; }
-  Edge& mutable_edge(EdgeId id) { return edges_[id]; }
+  /// In-place edge access (generator only); counts as a mutation.
+  Edge& mutable_edge(EdgeId id) {
+    ++generation_;
+    return edges_[id];
+  }
+
+  /// Mutation counter: every call above that changes a node, an edge or
+  /// an adjacency list bumps it. Structures derived from the graph (the
+  /// propagator's role-split adjacency) record it when built and refuse
+  /// to run on a graph that has moved on since.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   [[nodiscard]] std::span<const Neighbor> neighbors(NodeId node) const {
     return adjacency_[node];
@@ -147,6 +157,7 @@ class AsGraph {
   std::vector<Edge> edges_;
   std::vector<std::vector<Neighbor>> adjacency_;
   std::size_t live_edge_count_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace asrel::topo
