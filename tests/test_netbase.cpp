@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <random>
-
 #include "netbase/ip.hpp"
-#include "netbase/prefix_trie.hpp"
 
 namespace asrel::net {
 namespace {
@@ -131,99 +128,6 @@ TEST(Prefix6, LongLengths) {
   const auto p127 = *parse_prefix6("2001:db8::/127");
   EXPECT_TRUE(p127.contains(*parse_ipv6("2001:db8::1")));
   EXPECT_FALSE(p127.contains(*parse_ipv6("2001:db8::2")));
-}
-
-TEST(PrefixTrie, ExactMatch) {
-  PrefixTrie4<int> trie;
-  trie.insert(*parse_prefix4("10.0.0.0/8"), 1);
-  trie.insert(*parse_prefix4("10.1.0.0/16"), 2);
-  EXPECT_EQ(*trie.find_exact(*parse_prefix4("10.0.0.0/8")), 1);
-  EXPECT_EQ(*trie.find_exact(*parse_prefix4("10.1.0.0/16")), 2);
-  EXPECT_EQ(trie.find_exact(*parse_prefix4("10.2.0.0/16")), nullptr);
-  EXPECT_EQ(trie.size(), 2u);
-}
-
-TEST(PrefixTrie, LongestMatchPrefersMoreSpecific) {
-  PrefixTrie4<int> trie;
-  trie.insert(*parse_prefix4("10.0.0.0/8"), 1);
-  trie.insert(*parse_prefix4("10.1.0.0/16"), 2);
-  trie.insert(*parse_prefix4("10.1.2.0/24"), 3);
-  EXPECT_EQ(*trie.longest_match(*parse_ipv4("10.1.2.3")), 3);
-  EXPECT_EQ(*trie.longest_match(*parse_ipv4("10.1.9.9")), 2);
-  EXPECT_EQ(*trie.longest_match(*parse_ipv4("10.9.9.9")), 1);
-  EXPECT_EQ(trie.longest_match(*parse_ipv4("11.0.0.1")), nullptr);
-}
-
-TEST(PrefixTrie, InsertOverwrites) {
-  PrefixTrie4<int> trie;
-  trie.insert(*parse_prefix4("10.0.0.0/8"), 1);
-  trie.insert(*parse_prefix4("10.0.0.0/8"), 9);
-  EXPECT_EQ(*trie.find_exact(*parse_prefix4("10.0.0.0/8")), 9);
-  EXPECT_EQ(trie.size(), 1u);
-}
-
-TEST(PrefixTrie, Erase) {
-  PrefixTrie4<int> trie;
-  trie.insert(*parse_prefix4("10.0.0.0/8"), 1);
-  trie.insert(*parse_prefix4("10.1.0.0/16"), 2);
-  EXPECT_TRUE(trie.erase(*parse_prefix4("10.1.0.0/16")));
-  EXPECT_FALSE(trie.erase(*parse_prefix4("10.1.0.0/16")));
-  EXPECT_EQ(*trie.longest_match(*parse_ipv4("10.1.2.3")), 1);
-  EXPECT_EQ(trie.size(), 1u);
-}
-
-TEST(PrefixTrie, DefaultRouteMatchesEverything) {
-  PrefixTrie4<int> trie;
-  trie.insert(Prefix4{Ipv4Addr{0}, 0}, 42);
-  EXPECT_EQ(*trie.longest_match(*parse_ipv4("203.0.113.7")), 42);
-}
-
-TEST(PrefixTrie, ForEachVisitsInPrefixOrder) {
-  PrefixTrie4<int> trie;
-  trie.insert(*parse_prefix4("10.1.0.0/16"), 2);
-  trie.insert(*parse_prefix4("10.0.0.0/8"), 1);
-  trie.insert(*parse_prefix4("192.168.0.0/16"), 3);
-  std::vector<int> seen;
-  trie.for_each([&](const Prefix4&, int value) { seen.push_back(value); });
-  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
-}
-
-/// Property check: longest_match agrees with a brute-force scan for random
-/// prefixes and addresses.
-TEST(PrefixTrie, MatchesBruteForce) {
-  std::mt19937_64 rng{7};
-  std::vector<std::pair<Prefix4, int>> entries;
-  PrefixTrie4<int> trie;
-  for (int i = 0; i < 300; ++i) {
-    const auto bits = static_cast<std::uint32_t>(rng());
-    const auto length = static_cast<unsigned>(rng() % 25);
-    const Prefix4 prefix{Ipv4Addr{bits}, length};
-    // Skip duplicates (insert overwrites; brute force must agree).
-    bool duplicate = false;
-    for (const auto& [existing, value] : entries) {
-      if (existing == prefix) duplicate = true;
-    }
-    if (duplicate) continue;
-    entries.emplace_back(prefix, i);
-    trie.insert(prefix, i);
-  }
-  for (int i = 0; i < 1000; ++i) {
-    const Ipv4Addr addr{static_cast<std::uint32_t>(rng())};
-    const int* got = trie.longest_match(addr);
-    const std::pair<Prefix4, int>* best = nullptr;
-    for (const auto& entry : entries) {
-      if (!entry.first.contains(addr)) continue;
-      if (best == nullptr || entry.first.length() > best->first.length()) {
-        best = &entry;
-      }
-    }
-    if (best == nullptr) {
-      EXPECT_EQ(got, nullptr);
-    } else {
-      ASSERT_NE(got, nullptr);
-      EXPECT_EQ(*got, best->second);
-    }
-  }
 }
 
 }  // namespace
