@@ -47,8 +47,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 std::vector<std::string> asrel_fuzz_seeds() {
   using namespace asrel;
 
-  // A real (tiny) session provides structurally valid seeds: ribs sized
-  // to the node universe, canonical prefixes, ascending transit bits.
+  // A real (tiny) session provides structurally valid seeds: edges inside
+  // the node universe, canonical prefixes, ascending transit bits.
   core::ScenarioParams params;
   params.topology.as_count = 60;
   params.topology.seed = 5;

@@ -46,7 +46,7 @@ namespace asrel::bgp {
 
 /// Exclusive upper bound on AS-path length (incl. prepending); OriginRib
 /// distances of unreachable nodes sit at this sentinel. Exported so the
-/// checkpoint decoder can validate persisted ribs.
+/// naive reference propagator (src/testing) uses the same bound.
 inline constexpr std::uint16_t kMaxDist = 64;
 
 /// Preference class of a selected route (higher is preferred).

@@ -32,23 +32,24 @@ std::unique_ptr<Scenario> Scenario::build(const ScenarioParams& params) {
   }
   const bgp::Propagator propagator{scenario->world_, effective.propagation};
   scenario->paths_ = bgp::collect_paths(propagator, scenario->vps_);
-  scenario->finish_from_paths();
+  scenario->finish_from_paths(propagator);
   return scenario;
 }
 
 std::unique_ptr<Scenario> Scenario::from_parts(
-    const ScenarioParams& params, topo::World world,
-    std::vector<bgp::VantagePoint> vps, bgp::PathTable paths) {
+    const ScenarioParams& params, const bgp::Propagator& propagator,
+    topo::World world, std::vector<bgp::VantagePoint> vps,
+    bgp::PathTable paths) {
   auto scenario = std::unique_ptr<Scenario>(new Scenario);
   scenario->params_ = with_stage_threads(params);
   scenario->world_ = std::move(world);
   scenario->vps_ = std::move(vps);
   scenario->paths_ = std::move(paths);
-  scenario->finish_from_paths();
+  scenario->finish_from_paths(propagator);
   return scenario;
 }
 
-void Scenario::finish_from_paths() {
+void Scenario::finish_from_paths(const bgp::Propagator& propagator) {
   const ScenarioParams& effective = params_;
   {
     obs::StageScope scope{"pipeline.sanitize"};
@@ -62,7 +63,6 @@ void Scenario::finish_from_paths() {
     obs::StageScope scope{"pipeline.schemes"};
     schemes_ = val::SchemeDirectory::build(world_, effective.scheme_seed);
   }
-  const bgp::Propagator propagator{world_, effective.propagation};
   raw_validation_ = val::extract_from_communities(
       propagator, paths_, schemes_, effective.extract, &extract_stats_);
   if (effective.include_rpsl_source) {

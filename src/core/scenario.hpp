@@ -67,9 +67,13 @@ class Scenario {
   /// paths) and for the from-scratch reference rebuild the byte-equality
   /// invariant is checked against. `params.topology` must describe the
   /// world the parts came from; determinism then matches build().
+  /// `propagator` must be built over an equal world with
+  /// `params.propagation` (community extraction resolves hybrid links
+  /// through it); it is only borrowed for the call.
   [[nodiscard]] static std::unique_ptr<Scenario> from_parts(
-      const ScenarioParams& params, topo::World world,
-      std::vector<bgp::VantagePoint> vps, bgp::PathTable paths);
+      const ScenarioParams& params, const bgp::Propagator& propagator,
+      topo::World world, std::vector<bgp::VantagePoint> vps,
+      bgp::PathTable paths);
 
   const ScenarioParams& params() const { return params_; }
   const topo::World& world() const { return world_; }
@@ -91,7 +95,9 @@ class Scenario {
   const org::OrgMap& orgs() const { return orgs_; }
   const rir::RegionMapper& region_mapper() const { return mapper_; }
 
-  /// A fresh propagator over this scenario's world (cheap to construct).
+  /// A fresh propagator over this scenario's world. Construction builds
+  /// its role-split adjacency, an O(V + E) pass: keep one rather than
+  /// calling this per origin.
   [[nodiscard]] bgp::Propagator propagator() const {
     return bgp::Propagator{world_, params_.propagation};
   }
@@ -101,7 +107,7 @@ class Scenario {
 
   /// Shared tail of build()/from_parts(): everything downstream of the
   /// path table (world_, vps_, paths_ must already be set).
-  void finish_from_paths();
+  void finish_from_paths(const bgp::Propagator& propagator);
 
   ScenarioParams params_;
   topo::World world_;

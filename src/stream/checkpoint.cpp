@@ -31,8 +31,6 @@ constexpr std::uint8_t kDirtyGraph = 1u << 0;
 constexpr std::uint8_t kDirtyPaths = 1u << 1;
 constexpr std::uint8_t kDirtyMask = kDirtyGraph | kDirtyPaths;
 
-constexpr std::uint32_t kInvalidVia = ~std::uint32_t{0};
-
 [[nodiscard]] bool valid_rel(std::uint8_t v) {
   return v <= static_cast<std::uint8_t>(topo::RelType::kS2S);
 }
@@ -76,16 +74,6 @@ void put_payload(std::string& out, const StreamCheckpoint& checkpoint) {
     put_u8(out, edge.hybrid_rel
                     ? static_cast<std::uint8_t>(*edge.hybrid_rel)
                     : 0);
-  }
-
-  put_u64(out, checkpoint.ribs.size());
-  for (const auto& rib : checkpoint.ribs) {
-    for (std::size_t node = 0; node < rib.parent.size(); ++node) {
-      put_u32(out, rib.parent[node]);
-      put_u32(out, rib.via_edge[node]);
-      put_u8(out, rib.pref[node]);
-      put_u32(out, rib.dist[node]);
-    }
   }
 
   put_u64(out, checkpoint.prefixes.size());
@@ -151,58 +139,6 @@ void get_edges(Cursor& in, StreamCheckpoint& checkpoint) {
       }
     }
     checkpoint.edges.push_back(edge);
-  }
-}
-
-void get_ribs(Cursor& in, StreamCheckpoint& checkpoint) {
-  const std::uint64_t node_count = checkpoint.fingerprint.node_count;
-  const std::uint64_t count = in.get_count("rib table", 1);
-  if (in.failed()) return;
-  if (count != node_count) {
-    in.fail("rib count does not match the node count");
-    return;
-  }
-  // 13 bytes per (origin, node) cell; reject impossible sizes before
-  // allocating node_count^2 cells.
-  if (node_count != 0 && count > in.remaining() / (node_count * 13)) {
-    in.fail("implausible element count for rib table");
-    return;
-  }
-  checkpoint.ribs.resize(count);
-  for (std::uint64_t origin = 0; origin < count && !in.failed(); ++origin) {
-    auto& rib = checkpoint.ribs[origin];
-    rib.origin = static_cast<topo::NodeId>(origin);
-    rib.parent.resize(node_count);
-    rib.via_edge.resize(node_count);
-    rib.pref.resize(node_count);
-    rib.dist.resize(node_count);
-    for (std::uint64_t node = 0; node < node_count && !in.failed(); ++node) {
-      const std::uint32_t parent = in.get_u32("rib parent");
-      const std::uint32_t via = in.get_u32("rib via edge");
-      const std::uint8_t pref = in.get_u8("rib pref");
-      const std::uint32_t dist = in.get_u32("rib dist");
-      if (in.failed()) return;
-      if (parent != topo::kInvalidNode && parent >= node_count) {
-        in.fail("rib parent out of range");
-        return;
-      }
-      if (via != kInvalidVia && via >= checkpoint.edges.size()) {
-        in.fail("rib via edge out of range");
-        return;
-      }
-      if ((parent == topo::kInvalidNode) != (via == kInvalidVia)) {
-        in.fail("rib parent/via validity mismatch");
-        return;
-      }
-      if (pref > 3 || dist > bgp::kMaxDist) {
-        in.fail("rib pref or dist out of range");
-        return;
-      }
-      rib.parent[node] = parent;
-      rib.via_edge[node] = via;
-      rib.pref[node] = pref;
-      rib.dist[node] = static_cast<std::uint16_t>(dist);
-    }
   }
 }
 
@@ -350,7 +286,6 @@ std::optional<StreamCheckpoint> parse_checkpoint_bytes(std::string_view bytes,
   }
 
   if (!in.failed()) get_edges(in, checkpoint);
-  if (!in.failed()) get_ribs(in, checkpoint);
   if (!in.failed()) get_prefixes(in, checkpoint);
   if (!in.failed()) get_transit(in, checkpoint);
   if (!in.failed() && in.remaining() != 0) {

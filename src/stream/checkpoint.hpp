@@ -1,15 +1,16 @@
 // Durable stream checkpoints: crash recovery for the live pipeline.
 //
-// A StreamCheckpoint captures everything a StreamSession cannot cheaply
-// re-derive at restart: the churned edge table (the world's only mutable
-// topology state — adjacency is reconstructible from it), the retained
-// per-origin ribs (skipping the all-origin propagation that dominates a
-// cold bootstrap), the live prefix table, the DeltaAudit's effective
-// transit bits, the dirty flags, the publication epoch, and the feed
-// position. Static state (attributes, clique, delegations, vantage
-// points) is regenerated from the scenario parameters, which the
-// fingerprint pins: a checkpoint refuses to restore against a different
-// world.
+// A StreamCheckpoint captures everything a StreamSession cannot re-derive
+// at restart: the churned edge table (the world's only mutable topology
+// state — adjacency is reconstructible from it), the live prefix table,
+// the DeltaAudit's effective transit bits, the dirty flags, the
+// publication epoch, and the feed position. Per-origin ribs are not
+// stored: propagation is a pure function of the edge table, so restore
+// re-propagates every origin, and the file stays linear in the world's
+// size instead of quadratic in its AS count. Static state (attributes,
+// clique, delegations, vantage points) is regenerated from the scenario
+// parameters, which the fingerprint pins: a checkpoint refuses to restore
+// against a different world.
 //
 // Format mirrors the snapshot container (io/wire.hpp primitives):
 //   magic "ASRELCKP" | version u32 | payload_size u64 | fnv1a64 u64 |
@@ -35,14 +36,15 @@
 #include <vector>
 
 #include "asn/asn.hpp"
-#include "bgp/propagation.hpp"
 #include "netbase/ip.hpp"
 #include "topology/graph.hpp"
 
 namespace asrel::stream {
 
 inline constexpr std::string_view kCheckpointMagic = "ASRELCKP";
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// A file of any other version is refused at the header, so the recovery
+/// ladder falls through to a cold bootstrap.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Pins the world a checkpoint belongs to. as_count + the three seeds +
 /// the vantage target count determine every regenerated artifact; the
@@ -71,7 +73,6 @@ struct StreamCheckpoint {
   bool paths_dirty = false;
 
   std::vector<topo::Edge> edges;       ///< full table incl. tombstones
-  std::vector<bgp::OriginRib> ribs;    ///< by origin NodeId
   /// Live prefix table, keyed by ascending ASN; only non-empty lists are
   /// stored (an empty list and an absent entry behave identically), each
   /// in its in-memory (announcement) order.

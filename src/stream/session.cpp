@@ -147,7 +147,8 @@ void StreamSession::rebuild_derived_state() {
   paths_.recount();
 
   audit_ = std::make_unique<DeltaAudit>(world_);
-  scenario_ = core::Scenario::from_parts(params_, world_, vps_, paths_);
+  scenario_ = core::Scenario::from_parts(params_, *propagator_, world_, vps_,
+                                         paths_);
   // Build through the audit's class source: identical bytes to a fresh
   // BiasAudit, and it warms the per-link cache that later epochs
   // invalidate incrementally.
@@ -287,7 +288,8 @@ const io::Snapshot& StreamSession::publish(std::uint64_t built_unix_ms) {
     // regions) are re-run over the maintained parts; the expensive
     // upstream — topology and all-origin propagation — is what
     // incrementality avoided.
-    scenario_ = core::Scenario::from_parts(params_, world_, vps_, paths_);
+    scenario_ = core::Scenario::from_parts(params_, *propagator_, world_,
+                                           vps_, paths_);
     core::SnapshotSections sections;
     sections.ases = true;
     sections.validation = true;
@@ -317,8 +319,8 @@ io::Snapshot StreamSession::reference_snapshot(
   obs::StageScope stage{"stream.reference"};
   const bgp::Propagator propagator{world_, params_.propagation};
   auto paths = bgp::collect_paths(propagator, vps_);
-  const auto scenario =
-      core::Scenario::from_parts(params_, world_, vps_, std::move(paths));
+  const auto scenario = core::Scenario::from_parts(params_, propagator, world_,
+                                                   vps_, std::move(paths));
   io::Snapshot snapshot = core::build_snapshot(*scenario);
   snapshot.meta.epoch = epoch_;
   snapshot.meta.built_unix_ms = built_unix_ms;
@@ -340,7 +342,6 @@ StreamCheckpoint StreamSession::checkpoint(
   cp.paths_dirty = paths_dirty_;
   const auto edges = world_.graph.edges();
   cp.edges.assign(edges.begin(), edges.end());
-  cp.ribs = ribs_;
   cp.prefixes.reserve(world_.prefixes.size());
   for (const auto& [asn, list] : world_.prefixes) {
     if (!list.empty()) cp.prefixes.emplace_back(asn, list);
@@ -371,7 +372,7 @@ std::unique_ptr<StreamSession> StreamSession::restore(
     return fail("checkpoint fingerprint does not match the configured world");
   }
 
-  // The decoder validated edges/ribs against the checkpoint's own
+  // The decoder validated the edges against the checkpoint's own
   // fingerprint; the fingerprint match transfers that to the regenerated
   // world, so the reinstallation below cannot go out of bounds.
   session->world_.graph.restore_edges(checkpoint.edges);
@@ -380,42 +381,16 @@ std::unique_ptr<StreamSession> StreamSession::restore(
   for (const auto& [asn, list] : checkpoint.prefixes) {
     session->world_.prefixes.emplace(asn, list);
   }
-  session->ribs_ = checkpoint.ribs;
 
-  // Re-harvest the path table from the restored ribs — the cheap half of
-  // the batch loop; the all-origin propagation is what the checkpoint
-  // saved us.
-  const std::size_t n = session->world_.graph.node_count();
-  session->paths_ = bgp::PathTable{};
-  session->paths_.resize_origins(n);
-  session->paths_.set_vantage_points(session->vps_);
-  const unsigned threads =
-      bgp::origin_workers(session->params_.propagation.threads);
-  try {
-    core::ThreadPool::shared().run_indexed(n, threads, [&](std::size_t i) {
-      bgp::harvest_origin(*session->propagator_, session->ribs_[i],
-                          session->sessions_, session->paths_);
-    });
-  } catch (const std::logic_error&) {
-    // The harvest walks each VP's parent chain and refuses one whose
-    // distances do not fall to the origin; the decoder checks ranges only.
-    return fail("checkpoint ribs do not form parent chains to their origins");
-  }
-  session->paths_.recount();
-
-  session->audit_ = std::make_unique<DeltaAudit>(session->world_);
+  // The bootstrap body over the restored world. Every section is rebuilt:
+  // a section can differ from its last-published bytes only if its inputs
+  // changed since, and any such change set a dirty flag (restored below)
+  // that forces the same rebuild at the next publish — so rebuilding all
+  // of them here is exact, never stale.
+  session->rebuild_derived_state();
   if (session->audit_->sorted_transit_asns() != checkpoint.transit_asns) {
     return fail("checkpoint transit bits disagree with the restored world");
   }
-  session->scenario_ = core::Scenario::from_parts(
-      session->params_, session->world_, session->vps_, session->paths_);
-  // Rebuild every section: a section can differ from its last-published
-  // bytes only if its inputs changed since, and any such change set a
-  // dirty flag (restored below) that forces the same rebuild at the next
-  // publish — so rebuilding all of them here is exact, never stale.
-  auto source = session->audit_->class_source();
-  core::rebuild_snapshot_sections(session->snapshot_, *session->scenario_,
-                                  core::SnapshotSections::all(), &source);
   session->epoch_ = checkpoint.epoch;
   session->snapshot_.meta.epoch = checkpoint.epoch;
   session->snapshot_.meta.built_unix_ms = checkpoint.built_unix_ms;

@@ -88,12 +88,13 @@ class StreamSession {
   [[nodiscard]] StreamCheckpoint checkpoint(std::uint64_t feed_position) const;
 
   /// Rebuilds a session from a checkpoint: regenerates the static world
-  /// from `params`, verifies the fingerprint and the audit cross-check,
-  /// and reinstalls edges/ribs/prefixes without re-propagating. Returns
-  /// null (with `*error` filled) if the checkpoint belongs to a different
-  /// world or fails its integrity checks — callers then fall down the
-  /// recovery ladder. On success epoch() == checkpoint.epoch and the next
-  /// publish is byte-identical to a never-crashed run's.
+  /// from `params`, verifies the fingerprint, reinstalls edges/prefixes,
+  /// re-derives everything else exactly as bootstrap does (all-origin
+  /// propagation included), and cross-checks the audit's transit bits.
+  /// Returns null (with `*error` filled) if the checkpoint belongs to a
+  /// different world or fails its integrity checks — callers then fall
+  /// down the recovery ladder. On success epoch() == checkpoint.epoch and
+  /// the next publish is byte-identical to a never-crashed run's.
   [[nodiscard]] static std::unique_ptr<StreamSession> restore(
       const core::ScenarioParams& params, const StreamCheckpoint& checkpoint,
       std::string* error = nullptr);
@@ -148,7 +149,7 @@ class StreamSession {
 
   void init_static(const core::ScenarioParams& params);
   /// Re-derives ribs/paths/audit/scenario/snapshot from world_ alone (the
-  /// bootstrap body, reused by the watchdog's self-heal).
+  /// bootstrap body, reused by restore() and the watchdog's self-heal).
   void rebuild_derived_state();
   void reconverge(std::span<const topo::EdgeId> touched,
                   const std::vector<std::uint8_t>* cone_candidates);

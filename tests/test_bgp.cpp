@@ -617,6 +617,46 @@ TEST(Collection, SerialAndParallelPathTablesByteIdentical) {
   EXPECT_EQ(serialize(serial), serialize(parallel));
 }
 
+TEST(Collection, HarvestRefusesRibsWhoseChainsDoNotFallToTheOrigin) {
+  // The harvest walks each VP's parent chain and sizes every path from the
+  // rib's distances, so they must fall strictly along the chain and reach
+  // 0 at the origin. A rib that breaks either rule is refused, never
+  // written as a wrong path.
+  const MicroWorld mw = micro_world();
+  const auto& graph = mw.world.graph;
+  const Propagator prop{mw.world, quiet_params()};
+  const std::vector<VantagePoint> vps{{mw.s1, true, false}};
+  const auto sessions = resolve_vp_sessions(graph, vps);
+  const auto refusal = [&](const OriginRib& rib) -> std::string {
+    PathTable table;
+    table.resize_origins(graph.node_count());
+    table.set_vantage_points(vps);
+    try {
+      harvest_origin(prop, rib, sessions, table);
+    } catch (const std::logic_error& e) {
+      return e.what();
+    }
+    return {};
+  };
+
+  const OriginRib rib = prop.propagate(mw.s3);
+  ASSERT_GE(rib.dist[*graph.node_of(mw.s1)], 2);
+  EXPECT_EQ(refusal(rib), "");
+
+  OriginRib flat = rib;  // a parent no closer to the origin than its child
+  for (auto& dist : flat.dist) {
+    if (dist != 0 && dist < kMaxDist) dist = kMaxDist - 1;
+  }
+  EXPECT_NE(refusal(flat).find("broken parent chain"), std::string::npos);
+
+  OriginRib lifted = rib;  // every distance one too long
+  for (auto& dist : lifted.dist) {
+    if (dist < kMaxDist - 1) ++dist;
+  }
+  EXPECT_NE(refusal(lifted).find("origin distance is not 0"),
+            std::string::npos);
+}
+
 TEST(Collection, PathCountMatchesRecount) {
   const auto& scenario = test::shared_scenario();
   std::size_t counted = 0;

@@ -109,6 +109,28 @@ TEST(StreamChaos, CheckpointRoundTripsThroughBytes) {
   EXPECT_EQ(stream::to_checkpoint_bytes(*parsed), bytes);
 }
 
+TEST(StreamChaos, RestoredSessionCheckpointsToTheSameBytes) {
+  // Restore keeps everything a checkpoint holds, the prefix table and a
+  // mid-epoch checkpoint's dirty flags included: checkpointing the
+  // restored session at the same feed position gives the same bytes.
+  const auto params = chaos_params();
+  stream::StreamSession session{params};
+  const auto events = stream::generate_churn(session.world(), 3, 20);
+  for (std::size_t i = 0; i < 10; ++i) session.apply(events[i]);
+  session.publish(2);
+  for (std::size_t i = 10; i < events.size(); ++i) session.apply(events[i]);
+  const stream::StreamCheckpoint checkpoint = session.checkpoint(20);
+  ASSERT_TRUE(checkpoint.graph_dirty);
+  ASSERT_FALSE(checkpoint.prefixes.empty());
+
+  std::string error;
+  const auto restored =
+      stream::StreamSession::restore(params, checkpoint, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  EXPECT_EQ(stream::to_checkpoint_bytes(restored->checkpoint(20)),
+            stream::to_checkpoint_bytes(checkpoint));
+}
+
 TEST(StreamChaos, ParserRejectsTornAndCorruptBytes) {
   const auto params = chaos_params();
   stream::StreamSession session{params};
@@ -288,14 +310,13 @@ TEST(StreamChaos, RestoreRejectsForeignWorldsAndTornReads) {
             nullptr);
   EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
 
-  // Well-formed ribs whose parent chains do not fall toward the origin
-  // cannot be harvested: restore refuses them instead of throwing.
-  stream::StreamCheckpoint broken = checkpoint;
-  for (auto& dist : broken.ribs[0].dist) {
-    if (dist != 0 && dist < bgp::kMaxDist) dist = bgp::kMaxDist - 1;
-  }
-  EXPECT_EQ(stream::StreamSession::restore(params, broken, &error), nullptr);
-  EXPECT_NE(error.find("parent chains"), std::string::npos) << error;
+  // Transit bits the restored world's audit does not reproduce are refused.
+  ASSERT_FALSE(checkpoint.transit_asns.empty());
+  stream::StreamCheckpoint stale_bits = checkpoint;
+  stale_bits.transit_asns.pop_back();
+  EXPECT_EQ(stream::StreamSession::restore(params, stale_bits, &error),
+            nullptr);
+  EXPECT_NE(error.find("transit bits"), std::string::npos) << error;
 
   // A read that tears mid-file (injected cap) is rejected at the header.
   const std::string path = ::testing::TempDir() + "/asrel_ckpt_read.ckpt";

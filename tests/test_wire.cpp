@@ -314,8 +314,8 @@ TEST(Wire, CheckpointCodecIsCanonicalAndRejectsCorruption) {
   checkpoint.fingerprint.scheme_seed = 9;
   checkpoint.fingerprint.vantage_seed = 11;
   checkpoint.fingerprint.vantage_targets = 3;
-  // The decoder cross-checks ribs.size() against node_count, so an empty
-  // rib table means an empty node universe.
+  // The decoder refuses a node count larger than the payload, so a
+  // checkpoint without edges has an empty node universe.
   checkpoint.fingerprint.node_count = 0;
   checkpoint.fingerprint.node_hash = io::wire::fnv1a64("");
   checkpoint.epoch = 12;
@@ -355,6 +355,17 @@ TEST(Wire, CheckpointCodecIsCanonicalAndRejectsCorruption) {
   error.clear();
   EXPECT_FALSE(stream::parse_checkpoint_bytes(bad, &error));
   EXPECT_FALSE(error.empty());
+
+  // A file of the previous version is refused at the header, by name.
+  const std::uint32_t previous = stream::kCheckpointVersion - 1;
+  bad = bytes;
+  std::memcpy(bad.data() + stream::kCheckpointMagic.size(), &previous,
+              sizeof(previous));
+  error.clear();
+  EXPECT_FALSE(stream::parse_checkpoint_bytes(bad, &error));
+  EXPECT_NE(error.find("version " + std::to_string(previous)),
+            std::string::npos)
+      << error;
 }
 
 }  // namespace
