@@ -61,6 +61,9 @@ struct AsRankParams {
 struct AsRankResult {
   Inference inference;
   std::vector<asn::Asn> clique;
+  /// Step-4 descent sweeps that ran: the one that found the fixpoint
+  /// included, never more than max_passes. Neither step 5's sweeps nor a
+  /// vote-counting sweep after an exhausted budget count.
   int passes_used = 0;
 };
 

@@ -1,6 +1,9 @@
 #include "infer/clique.hpp"
 
 #include <algorithm>
+#include <span>
+#include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
 
@@ -44,22 +47,37 @@ void bron_kerbosch(const std::vector<std::vector<bool>>& adjacent,
   }
 }
 
-/// How often each AS appears directly after two consecutive members of
-/// the clique in a path — i.e. receives transit through the top of the
-/// hierarchy. Provider-free ASes never do; customers of clique members do.
-/// Indexed by AsIndex; `member` holds one byte per AsIndex.
-std::vector<std::uint32_t> transit_evidence(
-    const ObservedPaths& observed, const std::vector<std::uint8_t>& member) {
-  std::vector<std::uint32_t> counts(observed.as_count(), 0);
+/// Hop triplets among the top `k` ranks, counted in one scan of the paths:
+/// entry (x * k + y) * k + z counts the path positions where the ASes at
+/// rank positions x, y and z appear in that order. An AS appearing right
+/// after two members has received transit through the top of the
+/// hierarchy; provider-free ASes never do, customers of members do. Every
+/// member and every candidate ranks below `k`, so summing the rows of the
+/// member pairs gives all the evidence the clique ever reads.
+std::vector<std::uint32_t> triplet_table(const ObservedPaths& observed,
+                                         std::span<const AsIndex> rank,
+                                         std::size_t k) {
+  constexpr std::uint8_t kOutside = 0xFF;  // k <= kMaxCliquePool < 0xFF
+  std::vector<std::uint8_t> position(observed.as_count(), kOutside);
+  for (std::size_t r = 0; r < k; ++r) {
+    position[rank[r]] = static_cast<std::uint8_t>(r);
+  }
+  std::vector<std::uint32_t> table(k * k * k, 0);
   for (std::size_t p = 0; p < observed.path_count(); ++p) {
     const auto path = observed.path(p);
-    for (std::size_t i = 0; i + 2 < path.size(); ++i) {
-      if (member[path[i]] != 0 && member[path[i + 1]] != 0) {
-        ++counts[path[i + 2]];
+    if (path.size() < 3) continue;
+    std::uint8_t x = position[path[0]];
+    std::uint8_t y = position[path[1]];
+    for (std::size_t i = 2; i < path.size(); ++i) {
+      const std::uint8_t z = position[path[i]];
+      if (x != kOutside && y != kOutside && z != kOutside) {
+        ++table[(x * k + y) * k + z];
       }
+      x = y;
+      y = z;
     }
   }
-  return counts;
+  return table;
 }
 
 constexpr std::uint32_t kTransitedThreshold = 2;
@@ -68,6 +86,11 @@ constexpr std::uint32_t kTransitedThreshold = 2;
 
 std::vector<asn::Asn> infer_clique(const ObservedPaths& observed,
                                    const CliqueParams& params) {
+  if (std::max(params.seed_pool, params.extension_pool) > kMaxCliquePool) {
+    throw std::invalid_argument(
+        "infer_clique: seed_pool and extension_pool must be at most " +
+        std::to_string(kMaxCliquePool));
+  }
   obs::StageScope stage{"infer.clique"};
   const auto rank = observed.rank_order();
   const std::size_t pool =
@@ -89,26 +112,38 @@ std::vector<asn::Asn> infer_clique(const ObservedPaths& observed,
   bron_kerbosch(adjacent, current, std::move(candidates), {}, best);
   if (best.empty()) best.push_back(0);  // degenerate: just the top AS
 
-  // Membership is one byte per AsIndex. Transit evidence depends only on
-  // the membership, so it is recomputed only after the clique changes.
-  const std::size_t n = observed.as_count();
-  std::vector<std::uint8_t> member(n, 0);
+  // Members and candidates are all among the top `k` ranks, so membership
+  // and evidence live in rank-position space. The paths are scanned once;
+  // after a membership change the evidence is re-summed from the table.
+  const std::size_t extension =
+      std::min(params.extension_pool, static_cast<std::size_t>(rank.size()));
+  const std::size_t k = std::max(pool, extension);
+  const std::vector<std::uint32_t> table = triplet_table(observed, rank, k);
+  std::vector<std::uint8_t> member(k, 0);
   std::size_t size = 0;
   for (const std::size_t i : best) {
-    member[rank[i]] = 1;
+    member[i] = 1;
     ++size;
   }
-  std::vector<std::uint32_t> evidence;
+  std::vector<std::uint32_t> evidence(k, 0);
   bool evidence_stale = true;
   const auto current_evidence = [&]() -> const std::vector<std::uint32_t>& {
     if (evidence_stale) {
-      evidence = transit_evidence(observed, member);
+      std::fill(evidence.begin(), evidence.end(), 0);
+      for (std::size_t x = 0; x < k; ++x) {
+        if (member[x] == 0) continue;
+        for (std::size_t y = 0; y < k; ++y) {
+          if (member[y] == 0) continue;
+          const std::uint32_t* row = &table[(x * k + y) * k];
+          for (std::size_t z = 0; z < k; ++z) evidence[z] += row[z];
+        }
+      }
       evidence_stale = false;
     }
     return evidence;
   };
-  const auto set_member = [&](AsIndex as, bool in) {
-    member[as] = in ? 1 : 0;
+  const auto set_member = [&](std::size_t r, bool in) {
+    member[r] = in ? 1 : 0;
     in ? ++size : --size;
     evidence_stale = true;
   };
@@ -116,17 +151,19 @@ std::vector<asn::Asn> infer_clique(const ObservedPaths& observed,
   // A member that receives transit *through* two other members is not
   // provider-free; purge the worst offender at a time so the evidence gets
   // cleaner as the seed purifies. Ties go to the lowest ASN, i.e. the
-  // lowest index.
+  // lowest AsIndex.
   const auto purify = [&] {
     bool removed_any = false;
     while (size > 1) {
       const auto& counts = current_evidence();
-      AsIndex worst = kNoAs;
+      std::size_t worst = k;
       std::uint32_t worst_count = 0;
-      for (AsIndex as = 0; as < n; ++as) {
-        if (member[as] != 0 && counts[as] > worst_count) {
-          worst_count = counts[as];
-          worst = as;
+      for (std::size_t r = 0; r < k; ++r) {
+        if (member[r] == 0) continue;
+        if (counts[r] > worst_count ||
+            (counts[r] == worst_count && worst != k && rank[r] < rank[worst])) {
+          worst_count = counts[r];
+          worst = r;
         }
       }
       if (worst_count < kTransitedThreshold) break;
@@ -138,21 +175,18 @@ std::vector<asn::Asn> infer_clique(const ObservedPaths& observed,
 
   // Greedy extension over the next ranks: fully linked to the current
   // clique and never transited through it.
-  const std::size_t extension =
-      std::min(params.extension_pool, static_cast<std::size_t>(rank.size()));
   const auto extend = [&] {
     bool added_any = false;
     for (std::size_t i = 0; i < extension; ++i) {
-      const AsIndex candidate = rank[i];
-      if (member[candidate] != 0) continue;
+      if (member[i] != 0) continue;
       bool connected_to_all = true;
-      for (AsIndex as = 0; as < n && connected_to_all; ++as) {
+      for (std::size_t r = 0; r < k && connected_to_all; ++r) {
         connected_to_all =
-            member[as] == 0 || observed.link_id(candidate, as) != kNoLink;
+            member[r] == 0 || observed.link_id(rank[i], rank[r]) != kNoLink;
       }
       if (!connected_to_all) continue;
-      if (current_evidence()[candidate] >= kTransitedThreshold) continue;
-      set_member(candidate, true);
+      if (current_evidence()[i] >= kTransitedThreshold) continue;
+      set_member(i, true);
       added_any = true;
     }
     return added_any;
@@ -170,9 +204,10 @@ std::vector<asn::Asn> infer_clique(const ObservedPaths& observed,
 
   std::vector<asn::Asn> out;
   out.reserve(size);
-  for (AsIndex as = 0; as < n; ++as) {
-    if (member[as] != 0) out.push_back(observed.asn_at(as));
+  for (std::size_t r = 0; r < k; ++r) {
+    if (member[r] != 0) out.push_back(observed.asn_at(rank[r]));
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

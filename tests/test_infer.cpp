@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "infer/asrank.hpp"
@@ -317,6 +319,202 @@ TEST(Clique, RecoversGroundTruthTier1s) {
   EXPECT_GE(static_cast<double>(correct),
             0.9 * static_cast<double>(clique.size()));
   EXPECT_GE(correct, truth.size() / 2);
+}
+
+/// Reference clique: the per-membership rescan that infer_clique replaced
+/// with one triplet scan. Same Bron-Kerbosch seed, same purify/extend
+/// rounds, but the transit evidence is recounted over every path after
+/// each membership change. `rescans` reports how many times it was.
+struct ReferenceClique {
+  std::vector<Asn> clique;
+  int rescans = 0;
+};
+
+void reference_bron_kerbosch(const std::vector<std::vector<bool>>& adjacent,
+                             std::vector<std::size_t>& current,
+                             std::vector<std::size_t> candidates,
+                             std::vector<std::size_t> excluded,
+                             std::vector<std::size_t>& best) {
+  if (candidates.empty() && excluded.empty()) {
+    if (current.size() > best.size() ||
+        (current.size() == best.size() && current < best)) {
+      best = current;
+    }
+    return;
+  }
+  const std::vector<std::size_t> iteration = candidates;
+  for (const std::size_t v : iteration) {
+    std::vector<std::size_t> next_candidates;
+    std::vector<std::size_t> next_excluded;
+    for (const std::size_t u : candidates) {
+      if (adjacent[v][u]) next_candidates.push_back(u);
+    }
+    for (const std::size_t u : excluded) {
+      if (adjacent[v][u]) next_excluded.push_back(u);
+    }
+    current.push_back(v);
+    reference_bron_kerbosch(adjacent, current, std::move(next_candidates),
+                            std::move(next_excluded), best);
+    current.pop_back();
+    candidates.erase(std::find(candidates.begin(), candidates.end(), v));
+    excluded.push_back(v);
+  }
+}
+
+ReferenceClique reference_clique(const ObservedPaths& observed,
+                                 const CliqueParams& params) {
+  constexpr std::uint32_t kThreshold = 2;
+  ReferenceClique out;
+  const auto rank = observed.rank_order();
+  const std::size_t pool = std::min(params.seed_pool, rank.size());
+  if (pool == 0) return out;
+  std::vector<std::vector<bool>> adjacent(pool, std::vector<bool>(pool));
+  for (std::size_t i = 0; i < pool; ++i) {
+    for (std::size_t j = i + 1; j < pool; ++j) {
+      adjacent[i][j] = adjacent[j][i] =
+          observed.link_id(rank[i], rank[j]) != kNoLink;
+    }
+  }
+  std::vector<std::size_t> current;
+  std::vector<std::size_t> candidates(pool);
+  for (std::size_t i = 0; i < pool; ++i) candidates[i] = i;
+  std::vector<std::size_t> best;
+  reference_bron_kerbosch(adjacent, current, std::move(candidates), {}, best);
+  if (best.empty()) best.push_back(0);
+
+  const std::size_t n = observed.as_count();
+  std::vector<std::uint8_t> member(n, 0);
+  std::size_t size = 0;
+  for (const std::size_t i : best) {
+    member[rank[i]] = 1;
+    ++size;
+  }
+  std::vector<std::uint32_t> evidence;
+  bool stale = true;
+  const auto current_evidence = [&]() -> const std::vector<std::uint32_t>& {
+    if (stale) {
+      evidence.assign(n, 0);
+      for (std::size_t p = 0; p < observed.path_count(); ++p) {
+        const auto path = observed.path(p);
+        for (std::size_t i = 0; i + 2 < path.size(); ++i) {
+          if (member[path[i]] != 0 && member[path[i + 1]] != 0) {
+            ++evidence[path[i + 2]];
+          }
+        }
+      }
+      ++out.rescans;
+      stale = false;
+    }
+    return evidence;
+  };
+  const auto set_member = [&](AsIndex as, bool in) {
+    member[as] = in ? 1 : 0;
+    in ? ++size : --size;
+    stale = true;
+  };
+  const auto purify = [&] {
+    bool removed_any = false;
+    while (size > 1) {
+      const auto& counts = current_evidence();
+      AsIndex worst = kNoAs;
+      std::uint32_t worst_count = 0;
+      for (AsIndex as = 0; as < n; ++as) {
+        if (member[as] != 0 && counts[as] > worst_count) {
+          worst_count = counts[as];
+          worst = as;
+        }
+      }
+      if (worst_count < kThreshold) break;
+      set_member(worst, false);
+      removed_any = true;
+    }
+    return removed_any;
+  };
+  const std::size_t extension = std::min(params.extension_pool, rank.size());
+  const auto extend = [&] {
+    bool added_any = false;
+    for (std::size_t i = 0; i < extension; ++i) {
+      const AsIndex candidate = rank[i];
+      if (member[candidate] != 0) continue;
+      bool connected_to_all = true;
+      for (AsIndex as = 0; as < n && connected_to_all; ++as) {
+        connected_to_all =
+            member[as] == 0 || observed.link_id(candidate, as) != kNoLink;
+      }
+      if (!connected_to_all) continue;
+      if (current_evidence()[candidate] >= kThreshold) continue;
+      set_member(candidate, true);
+      added_any = true;
+    }
+    return added_any;
+  };
+  purify();
+  for (int round = 0; round < 4; ++round) {
+    const bool grew = extend();
+    const bool shrank = purify();
+    if (!grew && !shrank) break;
+  }
+  for (AsIndex as = 0; as < n; ++as) {
+    if (member[as] != 0) out.clique.push_back(observed.asn_at(as));
+  }
+  return out;
+}
+
+TEST(Clique, MatchesPerMembershipRescan) {
+  const auto expect_match = [](const ObservedPaths& observed,
+                               const CliqueParams& params,
+                               const char* name) {
+    const ReferenceClique reference = reference_clique(observed, params);
+    EXPECT_EQ(infer_clique(observed, params), reference.clique) << name;
+    return reference.rescans;
+  };
+
+  // The canonical world and a 1000-AS one both change membership several
+  // times (9 and 7 rescans), so purify and extend run against many
+  // evidence states.
+  const auto& canonical = test::shared_scenario().observed();
+  EXPECT_GE(expect_match(canonical, {}, "canonical"), 5);
+  expect_match(canonical, {5, 8}, "canonical, pools {5, 8}");
+
+  topo::TopologyParams topo_params;
+  topo_params.as_count = 1000;
+  topo_params.seed = 1;
+  const topo::World world = topo::generate(topo_params);
+  const bgp::Propagator propagator{world, bgp::PropagationParams{}};
+  const auto thousand = ObservedPaths::build(bgp::collect_paths(
+      propagator, bgp::select_vantage_points(world, {})));
+  EXPECT_GE(expect_match(thousand, {}, "1000 ASes, seed 1"), 5);
+
+  // Pools wider than the AS universe clamp to it.
+  const test::MicroWorld mw = test::micro_world();
+  const bgp::Propagator micro_propagator{mw.world, bgp::PropagationParams{}};
+  std::vector<bgp::VantagePoint> vps;
+  for (const Asn asn : mw.world.graph.nodes()) {
+    vps.push_back({asn, true, false});
+  }
+  const auto micro =
+      ObservedPaths::build(bgp::collect_paths(micro_propagator, vps));
+  ASSERT_LT(micro.as_count(), 20u);
+  expect_match(micro, {20, 30}, "micro world, pools {20, 30}");
+}
+
+TEST(Clique, RejectsPoolsAboveTheTableLimit) {
+  const auto& observed = test::shared_scenario().observed();
+  for (const CliqueParams params :
+       {CliqueParams{kMaxCliquePool + 1, 60},
+        CliqueParams{14, kMaxCliquePool + 1}}) {
+    try {
+      (void)infer_clique(observed, params);
+      ADD_FAILURE() << "pools " << params.seed_pool << ", "
+                    << params.extension_pool << " were accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find(
+                    std::to_string(kMaxCliquePool)),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_FALSE(infer_clique(observed, {14, kMaxCliquePool}).empty());
 }
 
 // ----------------------------------------------------------------- asrank --

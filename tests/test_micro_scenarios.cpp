@@ -118,6 +118,36 @@ TEST_F(MicroAsRank, MidTransitChainIsP2C) {
   EXPECT_EQ(deeper->provider, mw_.m1);
 }
 
+TEST_F(MicroAsRank, ExhaustedPassBudgetStillCountsVotes) {
+  // The fixpoint needs more than one sweep here, so a budget of one runs
+  // out before it settles: one more sweep must still count the votes, and
+  // passes_used counts only the step-4 sweep that ran.
+  ASSERT_GT(result_.passes_used, 1);
+  infer::AsRankParams params;
+  params.clique_customer_td_max = 1;
+  params.max_passes = 1;
+  const auto budget = infer::run_asrank_subset(observed_, params, path_ids_,
+                                               mw_.world.clique);
+  EXPECT_EQ(budget.passes_used, 1);
+
+  const auto expect = [&](Asn a, Asn b, topo::RelType type, Asn provider) {
+    const auto* r = budget.inference.find(val::AsLink{a, b});
+    ASSERT_NE(r, nullptr) << a.value() << "-" << b.value();
+    EXPECT_EQ(r->rel, type) << a.value() << "-" << b.value();
+    if (type == topo::RelType::kP2C) {
+      EXPECT_EQ(r->provider, provider);
+    }
+  };
+  using topo::RelType;
+  expect(mw_.t1a, mw_.t1b, RelType::kP2P, {});
+  expect(mw_.t1a, mw_.l1, RelType::kP2C, mw_.t1a);
+  expect(mw_.t1a, mw_.l2, RelType::kP2P, {});
+  expect(mw_.t1b, mw_.l2, RelType::kP2C, mw_.t1b);
+  expect(mw_.s4, mw_.t1b, RelType::kP2C, mw_.t1b);
+  expect(mw_.l1, mw_.m1, RelType::kP2C, mw_.l1);
+  expect(mw_.m1, mw_.s1, RelType::kP2C, mw_.m1);
+}
+
 // ----------------------------------------------------- extraction (micro) --
 
 TEST(MicroExtraction, PartialTransitLinkIsValidatedAsP2C) {
