@@ -28,7 +28,7 @@ struct Snapshot {
 Snapshot measure(const core::ScenarioParams& params) {
   const auto scenario = core::Scenario::build(params);
   const core::BiasAudit audit{*scenario};
-  const auto asrank = infer::run_asrank(scenario->observed());
+  const auto& asrank = scenario->asrank();
 
   Snapshot snap;
   snap.visible_links = scenario->observed().link_count();

@@ -66,9 +66,10 @@ inline const core::BiasAudit& audit() {
 }
 
 inline const infer::AsRankResult& asrank() {
-  static const infer::AsRankResult result = [] {
+  static const infer::AsRankResult& result =
+      []() -> const infer::AsRankResult& {
     std::printf("[setup] running ASRank ...\n");
-    return infer::run_asrank(scenario().observed());
+    return scenario().asrank();
   }();
   return result;
 }

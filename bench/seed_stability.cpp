@@ -33,7 +33,7 @@ Headline measure(std::uint64_t seed, int as_count) {
   params.topology.seed = seed;
   const auto scenario = core::Scenario::build(params);
   const core::BiasAudit audit{*scenario};
-  const auto asrank = infer::run_asrank(scenario->observed());
+  const auto& asrank = scenario->asrank();
 
   Headline h;
   h.seed = seed;

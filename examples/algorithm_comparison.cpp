@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
 
   std::printf("Running the four classifiers...\n");
   const auto gao = infer::run_gao(scenario->observed());
-  const auto asrank = infer::run_asrank(scenario->observed());
+  const auto& asrank = scenario->asrank();
   const auto problink = infer::run_problink(scenario->observed(), asrank,
                                             scenario->validation());
   const auto toposcope = infer::run_toposcope(scenario->observed(), asrank,

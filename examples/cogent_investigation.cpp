@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
 
   std::printf("Step 1 — run ASRank and evaluate against the validation "
               "data...\n");
-  const auto asrank = infer::run_asrank(scenario->observed());
+  const auto& asrank = scenario->asrank();
   const auto report =
       core::run_case_study(*scenario, audit, asrank.inference);
   std::printf("%s\n", core::render(report).c_str());

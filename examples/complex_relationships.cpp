@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   params.topology.as_count = argc > 1 ? std::atoi(argv[1]) : 6000;
   params.topology.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
   const auto scenario = core::Scenario::build(params);
-  const auto asrank = infer::run_asrank(scenario->observed());
+  const auto& asrank = scenario->asrank();
 
   const auto candidates = infer::detect_complex_relationships(
       scenario->observed(), asrank.clique);

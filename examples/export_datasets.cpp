@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   write("ground-truth.as-rel.txt", [&](std::ostream& out) {
     io::write_as_rel(scenario->world().graph, out);
   });
-  const auto asrank = infer::run_asrank(scenario->observed());
+  const auto& asrank = scenario->asrank();
   write("asrank.as-rel.txt", [&](std::ostream& out) {
     io::write_as_rel(asrank.inference, out);
   });

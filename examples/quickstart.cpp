@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
               scenario->validation().size());
 
   std::printf("\nRunning ASRank...\n");
-  const auto asrank = infer::run_asrank(scenario->observed());
+  const auto& asrank = scenario->asrank();
   std::printf("  clique size %zu, %zu links classified\n",
               asrank.clique.size(), asrank.inference.size());
 

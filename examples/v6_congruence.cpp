@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   params.topology.as_count = argc > 1 ? std::atoi(argv[1]) : 6000;
   params.topology.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
   const auto scenario = core::Scenario::build(params);
-  const auto v4 = infer::run_asrank(scenario->observed());
+  const auto& v4 = scenario->asrank();
 
   std::printf("Building the IPv6 sub-world...\n");
   const auto v6_world = core::build_v6_world(scenario->world());

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- inferred clique vs ground truth ----
-  const auto asrank = infer::run_asrank(observed);
+  const auto& asrank = scenario->asrank();
   std::printf("\n=== Clique: inferred %zu, ground truth %zu ===\n",
               asrank.clique.size(), world.clique.size());
   int correct = 0;

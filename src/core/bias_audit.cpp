@@ -24,11 +24,15 @@ BiasAudit::BiasAudit(const Scenario& scenario, unsigned threads)
   const unsigned workers = core::ThreadPool::effective_threads(threads);
   regional_cache_.resize(inferred_links_.size());
   topological_cache_.resize(inferred_links_.size());
-  pool.run_indexed(inferred_links_.size(), workers, [&](std::size_t i) {
-    regional_cache_[i] =
-        eval::regional_class(scenario_->region_mapper(), inferred_links_[i]);
-    topological_cache_[i] = topo_.class_of(inferred_links_[i]);
-  });
+  core::parallel_for_ranges(
+      pool, inferred_links_.size(), workers,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          regional_cache_[i] = eval::regional_class(scenario_->region_mapper(),
+                                                    inferred_links_[i]);
+          topological_cache_[i] = topo_.class_of(inferred_links_[i]);
+        }
+      });
   link_slot_.reserve(inferred_links_.size());
   for (std::size_t i = 0; i < inferred_links_.size(); ++i) {
     link_slot_.emplace(inferred_links_[i], static_cast<std::uint32_t>(i));

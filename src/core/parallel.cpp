@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <limits>
+#include <system_error>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -74,6 +76,12 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
+  {
+    std::lock_guard<std::mutex> lock{side_mutex_};
+    side_stop_ = true;
+  }
+  side_cv_.notify_all();
+  if (side_.joinable()) side_.join();
 }
 
 unsigned ThreadPool::effective_threads(unsigned requested) {
@@ -97,20 +105,35 @@ void ThreadPool::drain_batch(Batch& batch, bool on_worker) {
     // the scope closes, outside the claim loop.
     obs::TraceSpan span{on_worker ? "pool.drain.worker" : "pool.drain.caller"};
     for (;;) {
+      // Check for a failure before claiming, never after: an index this
+      // thread claims always runs, so no index below the lowest failing
+      // one is skipped. Once a failure is seen, every index nobody has
+      // claimed yet is retired at once.
+      if (batch.failed.load(std::memory_order_relaxed)) {
+        std::size_t next = batch.next.load(std::memory_order_relaxed);
+        while (next < batch.count &&
+               !batch.next.compare_exchange_weak(next, batch.count,
+                                                 std::memory_order_relaxed)) {
+        }
+        if (next < batch.count) {
+          const std::size_t skipped = batch.count - next;
+          metrics.queue_depth.add(-static_cast<std::int64_t>(skipped));
+          batch.remaining.fetch_sub(skipped, std::memory_order_acq_rel);
+        }
+        break;
+      }
       const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= batch.count) break;
       metrics.queue_depth.add(-1);
       ++executed;
-      if (!batch.failed.load(std::memory_order_relaxed)) {
-        try {
-          (*batch.fn)(i);
-        } catch (...) {
-          batch.failed.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> lock{batch.error_mutex};
-          if (i < batch.error_index) {
-            batch.error_index = i;
-            batch.error = std::current_exception();
-          }
+      try {
+        (*batch.fn)(i);
+      } catch (...) {
+        batch.failed.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock{batch.error_mutex};
+        if (i < batch.error_index) {
+          batch.error_index = i;
+          batch.error = std::current_exception();
         }
       }
       batch.remaining.fetch_sub(1, std::memory_order_acq_rel);
@@ -190,7 +213,76 @@ void ThreadPool::run_indexed(std::size_t count, unsigned parallelism,
     });
     batch_ = nullptr;
   }
-  if (batch->error) std::rethrow_exception(batch->error);
+  // Take the exception out of the batch: a worker may drop the last
+  // reference to the batch, and the exception object is freed on this
+  // thread, where it is read.
+  if (std::exception_ptr error = std::exchange(batch->error, nullptr)) {
+    std::rethrow_exception(error);
+  }
+}
+
+void ThreadPool::run_side() {
+  t_in_batch = true;  // calls from a side task into the pool stay serial
+  std::unique_lock<std::mutex> lock{side_mutex_};
+  for (;;) {
+    side_cv_.wait(lock, [&] { return side_stop_ || side_task_ != nullptr; });
+    if (side_task_ == nullptr) return;
+    const std::function<void()>* task = side_task_;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      (*task)();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    side_error_ = std::move(error);  // the caller holds the only reference
+    side_task_ = nullptr;
+    side_cv_.notify_all();
+  }
+}
+
+void ThreadPool::run_beside(const std::function<void()>& side,
+                            const std::function<void()>& main,
+                            const char* join_stage) {
+  bool beside = false;
+  if (!t_in_batch) {
+    std::lock_guard<std::mutex> lock{side_mutex_};
+    if (!side_claimed_) {
+      // Started on first use, not at construction: a process may fork
+      // before it starts any thread. If it cannot start, side runs inline.
+      try {
+        if (!side_.joinable()) side_ = std::thread{[this] { run_side(); }};
+        side_claimed_ = true;
+        beside = true;
+        side_task_ = &side;
+      } catch (const std::system_error&) {
+      }
+    }
+  }
+  if (!beside) {
+    main();
+    side();
+    return;
+  }
+  side_cv_.notify_all();
+
+  std::exception_ptr main_error;
+  try {
+    main();
+  } catch (...) {
+    main_error = std::current_exception();
+  }
+  std::exception_ptr side_error;
+  {
+    obs::StageScope join{join_stage};
+    std::unique_lock<std::mutex> lock{side_mutex_};
+    side_cv_.wait(lock, [&] { return side_task_ == nullptr; });
+    side_error = std::exchange(side_error_, nullptr);
+    side_claimed_ = false;
+  }
+  if (main_error) std::rethrow_exception(main_error);
+  if (side_error) std::rethrow_exception(side_error);
 }
 
 }  // namespace asrel::core

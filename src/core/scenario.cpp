@@ -1,5 +1,6 @@
 #include "core/scenario.hpp"
 
+#include "core/parallel.hpp"
 #include "obs/trace.hpp"
 
 namespace asrel::core {
@@ -50,21 +51,41 @@ std::unique_ptr<Scenario> Scenario::from_parts(
 }
 
 void Scenario::finish_from_paths(const bgp::Propagator& propagator) {
-  const ScenarioParams& effective = params_;
   {
     obs::StageScope scope{"pipeline.sanitize"};
     observed_ = infer::ObservedPaths::build(paths_, &sanitize_stats_,
                                             params_.threads);
   }
 
+  // ASRank reads only observed_, so it runs on the pool's side thread while
+  // the validation data is compiled. The side thread is one of the T
+  // executors extraction would otherwise use; with T == 1 both run inline.
+  const auto rank = [this] { asrank_ = infer::run_asrank(observed_); };
+  const unsigned threads =
+      ThreadPool::effective_threads(params_.extract.threads);
+  if (threads <= 1) {
+    compile_validation(propagator, threads);
+    rank();
+    return;
+  }
+  ThreadPool::shared().run_beside(
+      rank, [&] { compile_validation(propagator, threads - 1); },
+      "pipeline.asrank_join");
+}
+
+void Scenario::compile_validation(const bgp::Propagator& propagator,
+                                  unsigned extract_threads) {
+  const ScenarioParams& effective = params_;
   // 3. Validation compilation (Luckie-style communities, plus optional
   //    secondary sources).
   {
     obs::StageScope scope{"pipeline.schemes"};
     schemes_ = val::SchemeDirectory::build(world_, effective.scheme_seed);
   }
+  val::ExtractParams extract = effective.extract;
+  extract.threads = extract_threads;
   raw_validation_ = val::extract_from_communities(
-      propagator, paths_, schemes_, effective.extract, &extract_stats_);
+      propagator, paths_, schemes_, extract, &extract_stats_);
   if (effective.include_rpsl_source) {
     const auto irr = rpsl::synthesize_irr(world_, effective.irr);
     raw_validation_.merge(val::extract_from_rpsl(irr));

@@ -5,9 +5,12 @@
 //   harvest collector paths -> sanitize (observed view) ->
 //   compile validation data (communities, optionally RPSL + direct
 //   reports) -> clean it (§4.2) -> build the ASN->region mapping from the
-//   synthesized delegation files.
-// Everything downstream (inference, bias audits, benches) consumes a
-// Scenario.
+//   synthesized delegation files -> ASRank over the sanitized paths.
+// ASRank reads only the sanitized paths, so it runs on the shared pool's
+// side thread while the validation data is compiled (ThreadPool::
+// run_beside); ProbLink and TopoScope start from its result and the
+// cleaned validation data. Everything downstream (inference, bias audits,
+// benches) consumes a Scenario.
 #pragma once
 
 #include <memory>
@@ -15,6 +18,7 @@
 
 #include "bgp/propagation.hpp"
 #include "bgp/vantage.hpp"
+#include "infer/asrank.hpp"
 #include "infer/observed.hpp"
 #include "org/as2org.hpp"
 #include "rir/region_mapper.hpp"
@@ -62,11 +66,12 @@ class Scenario {
 
   /// Builds a Scenario from an already-materialized world, vantage-point
   /// list, and collected path table, running only the downstream stages
-  /// (sanitize -> schemes -> extract -> clean -> regions). The streaming
-  /// session uses this both per epoch (with incrementally maintained
-  /// paths) and for the from-scratch reference rebuild the byte-equality
-  /// invariant is checked against. `params.topology` must describe the
-  /// world the parts came from; determinism then matches build().
+  /// (sanitize -> schemes -> extract -> clean -> regions, ASRank). The
+  /// streaming session uses this both per epoch (with incrementally
+  /// maintained paths) and for the from-scratch reference rebuild the
+  /// byte-equality invariant is checked against. `params.topology` must
+  /// describe the world the parts came from; determinism then matches
+  /// build().
   /// `propagator` must be built over an equal world with
   /// `params.propagation` (community extraction resolves hybrid links
   /// through it); it is only borrowed for the call.
@@ -94,6 +99,9 @@ class Scenario {
   const val::ExtractStats& extract_stats() const { return extract_stats_; }
   const org::OrgMap& orgs() const { return orgs_; }
   const rir::RegionMapper& region_mapper() const { return mapper_; }
+  /// ASRank over observed() with default parameters: equal to
+  /// infer::run_asrank(observed()).
+  const infer::AsRankResult& asrank() const { return asrank_; }
 
   /// A fresh propagator over this scenario's world. Construction builds
   /// its role-split adjacency, an O(V + E) pass: keep one rather than
@@ -108,6 +116,9 @@ class Scenario {
   /// Shared tail of build()/from_parts(): everything downstream of the
   /// path table (world_, vps_, paths_ must already be set).
   void finish_from_paths(const bgp::Propagator& propagator);
+  /// Schemes -> extract -> clean -> regions, extraction on `extract_threads`.
+  void compile_validation(const bgp::Propagator& propagator,
+                          unsigned extract_threads);
 
   ScenarioParams params_;
   topo::World world_;
@@ -122,6 +133,7 @@ class Scenario {
   val::ExtractStats extract_stats_;
   org::OrgMap orgs_;
   rir::RegionMapper mapper_;
+  infer::AsRankResult asrank_;
 };
 
 }  // namespace asrel::core

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "core/bias_audit.hpp"
-#include "infer/asrank.hpp"
 #include "infer/problink.hpp"
 #include "infer/toposcope.hpp"
 #include "topology/cone.hpp"
@@ -79,7 +78,7 @@ void rebuild_algorithms(io::Snapshot& snapshot, const Scenario& scenario) {
   problink_params.threads = scenario.params().threads;
   infer::TopoScopeParams toposcope_params;
   toposcope_params.threads = scenario.params().threads;
-  const auto asrank = infer::run_asrank(observed);
+  const auto& asrank = scenario.asrank();
   const auto problink = infer::run_problink(observed, asrank,
                                             scenario.validation(),
                                             problink_params);

@@ -1,8 +1,9 @@
-// Assembles an io::Snapshot from a live Scenario: runs the three inference
-// algorithms (ASRank, ProbLink, TopoScope), tags every visible link with
-// its §5 regional/topological class via BiasAudit, and flattens the ground
-// truth into the serving layer's flat tables. This is the expensive
-// batch step; everything in src/serve reads only its output.
+// Assembles an io::Snapshot from a live Scenario: takes ASRank's labels
+// from the Scenario (Scenario::asrank, computed while the validation data
+// was compiled), runs ProbLink and TopoScope from them, tags every visible
+// link with its §5 regional/topological class via BiasAudit, and flattens
+// the ground truth into the serving layer's flat tables. This is the
+// expensive batch step; everything in src/serve reads only its output.
 #pragma once
 
 #include <functional>

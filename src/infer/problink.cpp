@@ -75,15 +75,10 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
     if (const auto index = observed.index_of(member)) in_clique[*index] = 1;
   }
 
-  // Path sweeps run over contiguous chunks of paths, one per worker. Every
+  // Path sweeps run over contiguous ranges of paths, one per worker. Every
   // tally is an integer sum or minimum over hops, and partials merge in
-  // chunk order, so the result is the same at any thread count.
+  // range order, so the result is the same at any thread count.
   const std::size_t path_count = observed.path_count();
-  const std::size_t chunks = threads;
-  const auto for_each_chunk_path = [&](std::size_t chunk, auto&& fn) {
-    const std::size_t end = (chunk + 1) * path_count / chunks;
-    for (std::size_t p = chunk * path_count / chunks; p < end; ++p) fn(p);
-  };
 
   // Distance to clique and origin-side occurrences, one path sweep.
   struct PathStats {
@@ -94,11 +89,11 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
     return PathStats{std::vector<std::uint8_t>(link_count, 3),
                      std::vector<std::uint32_t>(link_count, 0)};
   };
-  const PathStats stats = core::parallel_reduce_ordered(
-      pool, chunks, threads, fresh_stats(),
-      [&](std::size_t chunk) {
+  const PathStats stats = core::parallel_reduce_ranges(
+      pool, path_count, threads, fresh_stats(),
+      [&](std::size_t begin, std::size_t end) {
         PathStats local = fresh_stats();
-        for_each_chunk_path(chunk, [&](std::size_t p) {
+        for (std::size_t p = begin; p < end; ++p) {
           const auto path = observed.path(p);
           const auto slots = observed.path_slots(p);
           int last_clique = -1;
@@ -113,7 +108,7 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
             local.clique_distance[id] = static_cast<std::uint8_t>(
                 std::min<int>(local.clique_distance[id], distance));
           }
-        });
+        }
         return local;
       },
       [&](PathStats& acc, PathStats&& partial) {
@@ -155,17 +150,17 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
       category[2 * i + 1] =
           static_cast<std::uint8_t>(category_from(links[i].b));
     }
-    const TripletCounts counts = core::parallel_reduce_ordered(
-        pool, chunks, threads, TripletCounts(2 * link_count),
-        [&](std::size_t chunk) {
+    const TripletCounts counts = core::parallel_reduce_ranges(
+        pool, path_count, threads, TripletCounts(2 * link_count),
+        [&](std::size_t begin, std::size_t end) {
           obs::TraceSpan span{"infer.problink.triplet_chunk"};
           TripletCounts local(2 * link_count);
-          for_each_chunk_path(chunk, [&](std::size_t p) {
+          for (std::size_t p = begin; p < end; ++p) {
             const auto slots = observed.path_slots(p);
             for (std::size_t i = 1; i < slots.size(); ++i) {
               ++local[slots[i]][category[slots[i - 1]]];
             }
-          });
+          }
           return local;
         },
         [&](TripletCounts& acc, TripletCounts&& partial) {
@@ -173,22 +168,25 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
             for (int c = 0; c < 4; ++c) acc[slot][c] += partial[slot][c];
           }
         });
-    pool.run_indexed(link_count, threads, [&](std::size_t i) {
-      const auto dominant = [](const std::array<std::uint32_t, 4>& count) {
-        int best_category = kPredNone;
-        std::uint32_t best = 0;
-        for (int c = 1; c < 4; ++c) {
-          if (count[c] > best) {
-            best = count[c];
-            best_category = c;
-          }
+    const auto dominant = [](const std::array<std::uint32_t, 4>& count) {
+      int best_category = kPredNone;
+      std::uint32_t best = 0;
+      for (int c = 1; c < 4; ++c) {
+        if (count[c] > best) {
+          best = count[c];
+          best_category = c;
         }
-        return best_category;
-      };
-      // Orientation 0 is a hop against link order (odd slot), 1 along it.
-      features[i].value[0] =
-          dominant(counts[2 * i + 1]) * 4 + dominant(counts[2 * i]);
-    });
+      }
+      return best_category;
+    };
+    // Orientation 0 is a hop against link order (odd slot), 1 along it.
+    core::parallel_for_ranges(
+        pool, link_count, threads, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            features[i].value[0] =
+                dominant(counts[2 * i + 1]) * 4 + dominant(counts[2 * i]);
+          }
+        });
   };
 
   // ---- Training labels ------------------------------------------------------
@@ -251,24 +249,28 @@ ProbLinkResult run_problink(const ObservedPaths& observed,
     // Re-classify every link. Each link's verdict reads only the frozen
     // model and its own features, so the scores parallelize; the verdicts
     // are applied on the caller thread in link order below.
-    verdicts = core::parallel_map_ordered<Verdict>(
-        pool, link_count, threads, [&](std::size_t i) {
-          std::array<double, kLinkClassCount> score = log_prior;
-          for (std::size_t f = 0; f < kFeatures.size(); ++f) {
-            for (int c = 0; c < kLinkClassCount; ++c) {
-              score[c] += log_cond[f][features[i].value[f]][c];
+    verdicts.resize(link_count);
+    core::parallel_for_ranges(
+        pool, link_count, threads, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            std::array<double, kLinkClassCount> score = log_prior;
+            for (std::size_t f = 0; f < kFeatures.size(); ++f) {
+              for (int c = 0; c < kLinkClassCount; ++c) {
+                score[c] += log_cond[f][features[i].value[f]][c];
+              }
             }
+            const auto best = static_cast<LinkClass>(
+                std::max_element(score.begin(), score.end()) -
+                score.begin());
+            // Normalized posterior of the winning class (softmax over the
+            // three log scores, stabilized by the max).
+            const double peak = score[best];
+            double exp_total = 0;
+            for (int c = 0; c < kLinkClassCount; ++c) {
+              exp_total += std::exp(score[c] - peak);
+            }
+            verdicts[i] = Verdict{best, 1.0 / exp_total};
           }
-          const auto best = static_cast<LinkClass>(
-              std::max_element(score.begin(), score.end()) - score.begin());
-          // Normalized posterior of the winning class (softmax over the
-          // three log scores, stabilized by the max).
-          const double peak = score[best];
-          double exp_total = 0;
-          for (int c = 0; c < kLinkClassCount; ++c) {
-            exp_total += std::exp(score[c] - peak);
-          }
-          return Verdict{best, 1.0 / exp_total};
         });
 
     std::size_t changed = 0;

@@ -89,31 +89,34 @@ TopoScopeResult run_toposcope(const ObservedPaths& observed,
     int visibility;
   };
   std::vector<Features> features(links.size());
-  pool.run_indexed(links.size(), threads, [&](std::size_t i) {
-    int ab = 0;
-    int ba = 0;
-    int pp = 0;
-    for (const auto& inference : group_inference) {
-      const auto* rel = inference.find(links[i]);
-      if (rel == nullptr) continue;
-      switch (link_class_of(links[i], *rel)) {
-        case kLinkP2cAB:
-          ++ab;
-          break;
-        case kLinkP2cBA:
-          ++ba;
-          break;
-        default:
-          ++pp;
-      }
-    }
-    const auto* global_rel = global.inference.find(links[i]);
-    features[i] = {bucket_votes(ab), bucket_votes(ba), bucket_votes(pp),
-                   global_rel ? link_class_of(links[i], *global_rel)
-                              : kLinkP2P,
-                   bucket_visibility(observed.link_vp_count(
-                       static_cast<LinkId>(i)))};
-  });
+  core::parallel_for_ranges(
+      pool, links.size(), threads, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          int ab = 0;
+          int ba = 0;
+          int pp = 0;
+          for (const auto& inference : group_inference) {
+            const auto* rel = inference.find(links[i]);
+            if (rel == nullptr) continue;
+            switch (link_class_of(links[i], *rel)) {
+              case kLinkP2cAB:
+                ++ab;
+                break;
+              case kLinkP2cBA:
+                ++ba;
+                break;
+              default:
+                ++pp;
+            }
+          }
+          const auto* global_rel = global.inference.find(links[i]);
+          features[i] = {bucket_votes(ab), bucket_votes(ba), bucket_votes(pp),
+                         global_rel ? link_class_of(links[i], *global_rel)
+                                    : kLinkP2P,
+                         bucket_visibility(observed.link_vp_count(
+                             static_cast<LinkId>(i)))};
+        }
+      });
 
   // ---- Ensemble: naive Bayes trained on the validation data -----------------
   std::vector<std::pair<std::uint32_t, LinkClass>> train;
@@ -172,18 +175,20 @@ TopoScopeResult run_toposcope(const ObservedPaths& observed,
 
   // Score links concurrently; apply in index order so Inference's internal
   // bookkeeping (insertion order) matches the serial run exactly.
-  const std::vector<LinkClass> verdicts =
-      core::parallel_map_ordered<LinkClass>(
-          pool, links.size(), threads, [&](std::size_t i) {
-            std::array<double, kLinkClassCount> score = log_prior;
-            for (int f = 0; f < 5; ++f) {
-              for (int c = 0; c < kLinkClassCount; ++c) {
-                score[c] += log_cond[f][value_of(features[i], f)][c];
-              }
+  std::vector<LinkClass> verdicts(links.size());
+  core::parallel_for_ranges(
+      pool, links.size(), threads, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          std::array<double, kLinkClassCount> score = log_prior;
+          for (int f = 0; f < 5; ++f) {
+            for (int c = 0; c < kLinkClassCount; ++c) {
+              score[c] += log_cond[f][value_of(features[i], f)][c];
             }
-            return static_cast<LinkClass>(
-                std::max_element(score.begin(), score.end()) - score.begin());
-          });
+          }
+          verdicts[i] = static_cast<LinkClass>(
+              std::max_element(score.begin(), score.end()) - score.begin());
+        }
+      });
   for (std::size_t i = 0; i < links.size(); ++i) {
     result.inference.set(links[i], rel_of_link_class(links[i], verdicts[i]));
   }

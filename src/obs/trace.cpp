@@ -87,6 +87,11 @@ Tracer::ThreadBuffer& Tracer::buffer_for_this_thread() {
   return *buffer_of_thread;
 }
 
+std::size_t Tracer::thread_count() const {
+  std::lock_guard<std::mutex> lock{registry_mutex_};
+  return buffers_.size();
+}
+
 void Tracer::set_capacity_per_thread(std::size_t capacity) {
   std::lock_guard<std::mutex> lock{registry_mutex_};
   capacity_ = capacity == 0 ? 1 : capacity;

@@ -80,6 +80,10 @@ class Tracer {
   /// touches memory shared between recording threads.
   [[nodiscard]] std::uint64_t dropped() const;
 
+  /// Threads that have recorded a span: one ring buffer each, kept for the
+  /// process's lifetime.
+  [[nodiscard]] std::size_t thread_count() const;
+
   /// Chrome trace-event JSON ("chrome://tracing" / Perfetto "load trace"),
   /// one complete ("ph":"X") event per span.
   [[nodiscard]] std::string chrome_trace_json() const;

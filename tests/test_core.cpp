@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
 
 #include "core/bias_audit.hpp"
@@ -83,6 +84,45 @@ TEST(Scenario, DeterministicForSameParams) {
     EXPECT_EQ(a->validation()[i].link, b->validation()[i].link);
     EXPECT_EQ(a->validation()[i].rel, b->validation()[i].rel);
   }
+}
+
+void expect_same_asrank(const infer::AsRankResult& actual,
+                        const infer::AsRankResult& expected,
+                        const std::string& where) {
+  EXPECT_EQ(actual.clique, expected.clique) << where;
+  EXPECT_EQ(actual.passes_used, expected.passes_used) << where;
+  ASSERT_EQ(actual.inference.order(), expected.inference.order()) << where;
+  for (const auto& link : expected.inference.order()) {
+    const auto* got = actual.inference.find(link);
+    const auto* want = expected.inference.find(link);
+    ASSERT_NE(got, nullptr) << where;
+    EXPECT_EQ(got->rel, want->rel) << where;
+    EXPECT_EQ(got->provider, want->provider) << where;
+  }
+}
+
+TEST(Scenario, AsRankMatchesAStandaloneRun) {
+  // ASRank runs beside community extraction (on the pool's side thread for
+  // threads != 1); its result must equal a run over the finished view.
+  core::ScenarioParams params;
+  params.topology.as_count = 600;
+  params.topology.seed = 17;
+  params.vantage.target_count = 40;
+  for (const unsigned threads : {0u, 1u, 2u, 4u}) {
+    params.threads = threads;
+    const auto scenario = Scenario::build(params);
+    expect_same_asrank(scenario->asrank(),
+                       infer::run_asrank(scenario->observed()),
+                       "threads=" + std::to_string(threads));
+  }
+  params.threads = 2;
+  const auto built = Scenario::build(params);
+  const bgp::Propagator propagator = built->propagator();
+  const auto parts = Scenario::from_parts(params, propagator, built->world(),
+                                          built->vantage_points(),
+                                          built->paths());
+  expect_same_asrank(parts->asrank(), infer::run_asrank(parts->observed()),
+                     "from_parts");
 }
 
 // -------------------------------------------------------------- bias audit --

@@ -9,13 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "core/scenario.hpp"
+#include "obs/trace.hpp"
 #include "test_support.hpp"
 #include "testing/canonical.hpp"
 
@@ -109,6 +113,185 @@ TEST(ThreadPool, EffectiveThreadsResolvesAutoOnly) {
   EXPECT_GE(core::ThreadPool::effective_threads(0), 1u);
   EXPECT_EQ(core::ThreadPool::effective_threads(1), 1u);
   EXPECT_EQ(core::ThreadPool::effective_threads(64), 64u);
+}
+
+TEST(ThreadPool, RangesVisitEveryIndexExactlyOnce) {
+  core::ThreadPool pool{4};
+  for (const unsigned threads : {1u, 2u, 3u, 5u}) {
+    const std::size_t t = threads;
+    for (const std::size_t count :
+         {std::size_t{0}, std::size_t{1}, t - 1, t, t + 1,
+          std::size_t{100003}}) {
+      std::vector<std::atomic<int>> visits(count);
+      core::parallel_for_ranges(pool, count, threads,
+                                [&](std::size_t begin, std::size_t end) {
+                                  EXPECT_LT(begin, end);
+                                  for (std::size_t i = begin; i < end; ++i) {
+                                    visits[i].fetch_add(1);
+                                  }
+                                });
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(visits[i].load(), 1)
+            << "index " << i << ", count=" << count << ", threads=" << threads;
+      }
+      // The reducing form sees the same ranges and merges them in order.
+      const auto bounds = core::parallel_reduce_ranges(
+          pool, count, threads, std::vector<std::size_t>{},
+          [](std::size_t begin, std::size_t end) {
+            return std::vector<std::size_t>{begin, end};
+          },
+          [](std::vector<std::size_t>& acc, std::vector<std::size_t>&& range) {
+            if (!acc.empty()) {
+              EXPECT_EQ(acc.back(), range.front());
+            }
+            acc.insert(acc.end(), range.begin(), range.end());
+          });
+      EXPECT_EQ(bounds.size(), 2 * core::range_count(count, threads));
+      if (count != 0) {
+        EXPECT_EQ(bounds.front(), 0u);
+        EXPECT_EQ(bounds.back(), count);
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, ClaimedRangesAlwaysRunSoTheLowestFailureWins) {
+  // Every range throws. The range holding index 0 is claimed first, and a
+  // claimed range always runs, so its exception is the one rethrown however
+  // the others interleave with it.
+  core::ThreadPool pool{4};
+  for (int round = 0; round < 200; ++round) {
+    try {
+      core::parallel_for_ranges(pool, 1000, 4,
+                                [](std::size_t begin, std::size_t) {
+                                  throw std::runtime_error{
+                                      "range at " + std::to_string(begin)};
+                                });
+      FAIL() << "expected a rethrow";
+    } catch (const std::runtime_error& error) {
+      ASSERT_STREQ(error.what(), "range at 0") << "round " << round;
+    }
+  }
+}
+
+TEST(ThreadPool, RunBesideFinishesSideBeforeRethrowingMain) {
+  core::ThreadPool pool{2};
+  std::atomic<bool> side_done{false};
+  try {
+    pool.run_beside(
+        [&] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(30));
+          side_done.store(true);
+        },
+        [] { throw std::runtime_error{"main failed"}; }, "test.join");
+    FAIL() << "expected main's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "main failed");
+    EXPECT_TRUE(side_done.load());
+  }
+  // Main's exception wins over side's.
+  try {
+    pool.run_beside([] { throw std::runtime_error{"side failed"}; },
+                    [] { throw std::runtime_error{"main failed"}; },
+                    "test.join");
+    FAIL() << "expected main's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "main failed");
+  }
+}
+
+TEST(ThreadPool, RunBesideRethrowsSideException) {
+  core::ThreadPool pool{2};
+  bool main_ran = false;
+  try {
+    pool.run_beside([] { throw std::runtime_error{"side failed"}; },
+                    [&] { main_ran = true; }, "test.join");
+    FAIL() << "expected side's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "side failed");
+  }
+  EXPECT_TRUE(main_ran);
+  // The side thread survives a failed task.
+  std::thread::id side_thread;
+  pool.run_beside([&] { side_thread = std::this_thread::get_id(); }, [] {},
+                  "test.join");
+  EXPECT_NE(side_thread, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, RunBesideInsideABatchRunsInlineAfterMain) {
+  core::ThreadPool pool{2};
+  std::vector<std::vector<std::string>> steps(6);
+  std::vector<char> same_thread(steps.size(), 0);
+  pool.run_indexed(steps.size(), 3, [&](std::size_t i) {
+    const auto caller = std::this_thread::get_id();
+    pool.run_beside(
+        [&] {
+          steps[i].push_back("side");
+          same_thread[i] = std::this_thread::get_id() == caller;
+        },
+        [&] { steps[i].push_back("main"); }, "test.join");
+  });
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_EQ(steps[i], (std::vector<std::string>{"main", "side"})) << i;
+    EXPECT_TRUE(same_thread[i]) << i;
+  }
+}
+
+TEST(ThreadPool, ConcurrentRunBesideCallersBothFinish) {
+  // One caller holds the side thread; the other finds it busy and runs its
+  // side inline. Neither waits on the other.
+  core::ThreadPool pool{2};
+  std::atomic<int> sides{0};
+  std::atomic<int> mains{0};
+  const auto call = [&] {
+    for (int round = 0; round < 25; ++round) {
+      pool.run_beside(
+          [&] {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            sides.fetch_add(1);
+          },
+          [&] { mains.fetch_add(1); }, "test.join");
+    }
+  };
+  std::thread other{call};
+  call();
+  other.join();
+  EXPECT_EQ(sides.load(), 50);
+  EXPECT_EQ(mains.load(), 50);
+}
+
+TEST(ThreadPool, TracedBuildsAddAtMostOneTracerBuffer) {
+  // The side thread is one persistent thread: builds do not start a thread
+  // each, so tracing them does not leave a span buffer per build behind.
+  obs::ScopedTracing tracing{true, /*clear_on_exit=*/true};
+  core::ThreadPool& pool = core::ThreadPool::shared();
+  { obs::TraceSpan span{"test.register_caller"}; }
+  // Hold every worker inside one batch at once, so each records a span
+  // (and registers its buffer) before the baseline.
+  const std::size_t executors = pool.worker_count() + 1;
+  std::atomic<std::size_t> arrived{0};
+  pool.run_indexed(executors, 0, [&](std::size_t) {
+    obs::TraceSpan span{"test.register_executor"};
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < executors &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_EQ(arrived.load(), executors);
+  const std::size_t baseline = obs::Tracer::instance().thread_count();
+
+  core::ScenarioParams params;
+  params.topology.as_count = 150;
+  params.vantage.target_count = 10;
+  params.threads = 2;
+  for (int build = 0; build < 50; ++build) {
+    params.topology.seed = static_cast<std::uint64_t>(build + 1);
+    (void)core::Scenario::build(params);
+  }
+  EXPECT_LE(obs::Tracer::instance().thread_count(), baseline + 1);
 }
 
 // ---- end-to-end: reports are byte-identical at every thread count --------

@@ -262,7 +262,7 @@ int cmd_eval(const Args& args) {
 int cmd_audit(const Args& args) {
   const auto scenario = build_scenario(args);
   const core::BiasAudit audit{*scenario};
-  const auto asrank = infer::run_asrank(scenario->observed());
+  const auto& asrank = scenario->asrank();
   const auto problink = infer::run_problink(scenario->observed(), asrank,
                                             scenario->validation());
   const auto toposcope = infer::run_toposcope(scenario->observed(), asrank,
