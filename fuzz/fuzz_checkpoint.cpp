@@ -57,11 +57,12 @@ std::vector<std::string> asrel_fuzz_seeds() {
   stream::StreamSession session{params};
 
   std::vector<std::string> seeds;
-  // The pristine epoch-1 state (no churn, clean flags).
+  // The pristine epoch-1 state (no churn).
   seeds.push_back(stream::to_checkpoint_bytes(session.checkpoint(0)));
 
   // A churned state: tombstoned edges, flipped relationships, live
-  // prefix entries, dirty flags mid-epoch.
+  // prefix entries; once mid-epoch (events not yet published), once
+  // after the publish.
   const auto events = stream::generate_churn(session.world(), 3, 25);
   for (const auto& event : events) session.apply(event);
   seeds.push_back(stream::to_checkpoint_bytes(session.checkpoint(25)));

@@ -30,14 +30,13 @@ io::SnapshotAlgorithm flatten(std::string name,
   return algorithm;
 }
 
-void rebuild_ases(io::Snapshot& snapshot, const Scenario& scenario) {
+void add_ases(io::Snapshot& snapshot, const Scenario& scenario) {
   const auto& world = scenario.world();
   const auto& graph = world.graph;
   const auto& observed = scenario.observed();
   const auto cone_sizes = topo::customer_cone_sizes(graph);
   std::vector<asn::Asn> asns{graph.nodes().begin(), graph.nodes().end()};
   std::sort(asns.begin(), asns.end());
-  snapshot.ases.clear();
   snapshot.ases.reserve(asns.size());
   for (const auto asn : asns) {
     io::SnapshotAs as;
@@ -54,9 +53,8 @@ void rebuild_ases(io::Snapshot& snapshot, const Scenario& scenario) {
   }
 }
 
-void rebuild_edges(io::Snapshot& snapshot, const Scenario& scenario) {
+void add_edges(io::Snapshot& snapshot, const Scenario& scenario) {
   const auto& graph = scenario.world().graph;
-  snapshot.edges.clear();
   snapshot.edges.reserve(graph.live_edge_count());
   for (const auto& edge : graph.edges()) {
     if (edge.removed) continue;
@@ -72,7 +70,7 @@ void rebuild_edges(io::Snapshot& snapshot, const Scenario& scenario) {
   }
 }
 
-void rebuild_algorithms(io::Snapshot& snapshot, const Scenario& scenario) {
+void add_algorithms(io::Snapshot& snapshot, const Scenario& scenario) {
   const auto& observed = scenario.observed();
   infer::ProbLinkParams problink_params;
   problink_params.threads = scenario.params().threads;
@@ -85,7 +83,6 @@ void rebuild_algorithms(io::Snapshot& snapshot, const Scenario& scenario) {
   const auto toposcope = infer::run_toposcope(observed, asrank,
                                               scenario.validation(),
                                               toposcope_params);
-  snapshot.algorithms.clear();
   snapshot.algorithms.push_back(
       flatten(std::string{kSnapshotAlgorithms[0]}, asrank.inference));
   snapshot.algorithms.push_back(
@@ -94,13 +91,11 @@ void rebuild_algorithms(io::Snapshot& snapshot, const Scenario& scenario) {
       flatten(std::string{kSnapshotAlgorithms[2]}, toposcope.inference));
 }
 
-void rebuild_links(io::Snapshot& snapshot, const Scenario& scenario,
-                   const SnapshotClassSource* classes) {
+void add_links(io::Snapshot& snapshot, const Scenario& scenario,
+               const SnapshotClassSource* classes) {
   // The interned string table is derived from the links section
-  // (first-occurrence order over observed links), so both regenerate
+  // (first-occurrence order over observed links), so both are built
   // together.
-  snapshot.class_names.clear();
-  snapshot.links.clear();
   std::unordered_map<std::string, std::uint32_t> interned;
   const auto intern = [&](std::string name) {
     const auto it = interned.find(name);
@@ -136,26 +131,19 @@ void rebuild_links(io::Snapshot& snapshot, const Scenario& scenario,
 
 }  // namespace
 
-void rebuild_snapshot_sections(io::Snapshot& snapshot,
-                               const Scenario& scenario,
-                               const SnapshotSections& sections,
-                               const SnapshotClassSource* classes) {
+io::Snapshot build_snapshot(const Scenario& scenario,
+                            const SnapshotClassSource* classes) {
+  io::Snapshot snapshot;
   snapshot.meta.as_count = scenario.params().topology.as_count;
   snapshot.meta.seed = scenario.params().topology.seed;
   snapshot.meta.scheme_seed = scenario.params().scheme_seed;
   snapshot.clique = scenario.world().clique;
   snapshot.hypergiants = scenario.world().hypergiants;
-
-  if (sections.ases) rebuild_ases(snapshot, scenario);
-  if (sections.edges) rebuild_edges(snapshot, scenario);
-  if (sections.validation) snapshot.validation = scenario.validation();
-  if (sections.algorithms) rebuild_algorithms(snapshot, scenario);
-  if (sections.links) rebuild_links(snapshot, scenario, classes);
-}
-
-io::Snapshot build_snapshot(const Scenario& scenario) {
-  io::Snapshot snapshot;
-  rebuild_snapshot_sections(snapshot, scenario, SnapshotSections::all());
+  add_ases(snapshot, scenario);
+  add_edges(snapshot, scenario);
+  snapshot.validation = scenario.validation();
+  add_algorithms(snapshot, scenario);
+  add_links(snapshot, scenario, classes);
   return snapshot;
 }
 

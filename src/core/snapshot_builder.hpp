@@ -3,7 +3,9 @@
 // was compiled), runs ProbLink and TopoScope from them, tags every visible
 // link with its §5 regional/topological class via BiasAudit, and flattens
 // the ground truth into the serving layer's flat tables. This is the
-// expensive batch step; everything in src/serve reads only its output.
+// expensive batch step. A streaming publish runs it whole too, over the
+// session's maintained scenario and with its cached link classes.
+// Everything in src/serve reads only its output.
 #pragma once
 
 #include <functional>
@@ -17,24 +19,6 @@ namespace asrel::core {
 inline constexpr std::string_view kSnapshotAlgorithms[] = {
     "asrank", "problink", "toposcope"};
 
-/// Which snapshot sections to regenerate in rebuild_snapshot_sections.
-/// The streaming publisher marks only the sections an epoch's events can
-/// have changed; untouched sections keep their previous bytes.
-struct SnapshotSections {
-  bool ases = false;        ///< per-AS table (degrees, cone sizes)
-  bool edges = false;       ///< ground-truth edge list
-  bool validation = false;  ///< cleaned validation labels
-  bool algorithms = false;  ///< the three inference labelings
-  bool links = false;       ///< visible links + class tags (+ class_names)
-
-  [[nodiscard]] static SnapshotSections all() {
-    return {true, true, true, true, true};
-  }
-  [[nodiscard]] bool any() const {
-    return ases || edges || validation || algorithms || links;
-  }
-};
-
 /// Per-link class-name lookups for the links section. The streaming delta
 /// audit passes its own cached classifications here so the publisher never
 /// re-tabulates the whole link universe; batch builds leave it null and a
@@ -44,19 +28,14 @@ struct SnapshotClassSource {
   std::function<std::string(const val::AsLink&)> topological_class_of;
 };
 
-/// Regenerates the selected sections of `snapshot` from `scenario`,
-/// leaving the rest untouched. Provenance meta plus the clique/hypergiant
-/// lists are always refreshed (they are cheap copies); meta.epoch and
-/// meta.built_unix_ms are the caller's to manage. Rebuilding a section
-/// yields exactly the bytes a full build_snapshot of the same scenario
-/// would produce for it — the byte-equality invariant depends on this.
-void rebuild_snapshot_sections(io::Snapshot& snapshot,
-                               const Scenario& scenario,
-                               const SnapshotSections& sections,
-                               const SnapshotClassSource* classes = nullptr);
-
-/// Deterministic in the scenario: the same seed yields byte-identical
+/// Builds every section from `scenario`: provenance meta, the clique and
+/// hypergiant lists, then ases, edges, validation, algorithms and links.
+/// meta.epoch and meta.built_unix_ms stay 0, the caller's to stamp.
+/// `classes` supplies the links section's class names (the streaming
+/// session's delta audit); null tabulates them with a fresh BiasAudit.
+/// Both yield the same bytes, and the same seed yields byte-identical
 /// snapshots across runs.
-[[nodiscard]] io::Snapshot build_snapshot(const Scenario& scenario);
+[[nodiscard]] io::Snapshot build_snapshot(
+    const Scenario& scenario, const SnapshotClassSource* classes = nullptr);
 
 }  // namespace asrel::core

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <fstream>
 
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace asrel::obs {
@@ -27,27 +28,6 @@ std::uint64_t thread_cpu_ns() {
 
 /// Nesting depth of live (recording) spans on this thread.
 thread_local std::uint32_t t_depth = 0;
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += ' ';  // span names are ours; control chars never expected
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 }  // namespace
 
@@ -190,7 +170,7 @@ std::string Tracer::chrome_trace_json() const {
     if (!first) out += ",";
     first = false;
     out += "{\"name\":";
-    append_json_string(out, span.name);
+    append_json_escaped(out, span.name);
     out += ",\"ph\":\"X\",\"pid\":1,\"tid\":";
     out += std::to_string(span.tid);
     out += ",\"ts\":";

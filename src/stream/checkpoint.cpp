@@ -27,10 +27,6 @@ constexpr std::uint8_t kEdgeRemoved = 1u << 3;
 constexpr std::uint8_t kEdgeFlagMask =
     kEdgeViaCommunity | kEdgeMisdocumented | kEdgeHybrid | kEdgeRemoved;
 
-constexpr std::uint8_t kDirtyGraph = 1u << 0;
-constexpr std::uint8_t kDirtyPaths = 1u << 1;
-constexpr std::uint8_t kDirtyMask = kDirtyGraph | kDirtyPaths;
-
 [[nodiscard]] bool valid_rel(std::uint8_t v) {
   return v <= static_cast<std::uint8_t>(topo::RelType::kS2S);
 }
@@ -56,9 +52,6 @@ void put_payload(std::string& out, const StreamCheckpoint& checkpoint) {
   put_u64(out, checkpoint.epoch);
   put_u64(out, checkpoint.built_unix_ms);
   put_u64(out, checkpoint.feed_position);
-  put_u8(out, static_cast<std::uint8_t>(
-                  (checkpoint.graph_dirty ? kDirtyGraph : 0) |
-                  (checkpoint.paths_dirty ? kDirtyPaths : 0)));
 
   put_u64(out, checkpoint.edges.size());
   for (const auto& edge : checkpoint.edges) {
@@ -275,12 +268,6 @@ std::optional<StreamCheckpoint> parse_checkpoint_bytes(std::string_view bytes,
   checkpoint.epoch = in.get_u64("epoch");
   checkpoint.built_unix_ms = in.get_u64("built timestamp");
   checkpoint.feed_position = in.get_u64("feed position");
-  const std::uint8_t dirty = in.get_u8("dirty flags");
-  if (!in.failed() && (dirty & ~kDirtyMask) != 0) {
-    in.fail("invalid dirty flags");
-  }
-  checkpoint.graph_dirty = (dirty & kDirtyGraph) != 0;
-  checkpoint.paths_dirty = (dirty & kDirtyPaths) != 0;
   if (!in.failed() && fp.node_count > in.remaining()) {
     in.fail("implausible node count");
   }

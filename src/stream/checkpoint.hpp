@@ -3,14 +3,16 @@
 // A StreamCheckpoint captures everything a StreamSession cannot re-derive
 // at restart: the churned edge table (the world's only mutable topology
 // state — adjacency is reconstructible from it), the live prefix table,
-// the DeltaAudit's effective transit bits, the dirty flags, the
-// publication epoch, and the feed position. Per-origin ribs are not
-// stored: propagation is a pure function of the edge table, so restore
-// re-propagates every origin, and the file stays linear in the world's
-// size instead of quadratic in its AS count. Static state (attributes,
-// clique, delegations, vantage points) is regenerated from the scenario
-// parameters, which the fingerprint pins: a checkpoint refuses to restore
-// against a different world.
+// the DeltaAudit's effective transit bits, the publication epoch, and the
+// feed position. No dirty state is stored: restore rebuilds the whole
+// snapshot from the restored world, so a mid-epoch checkpoint restores to
+// a clean session whose next publish equals the never-crashed one's.
+// Per-origin ribs are not stored either: propagation is a pure function
+// of the edge table, so restore re-propagates every origin, and the file
+// stays linear in the world's size instead of quadratic in its AS count.
+// Static state (attributes, clique, delegations, vantage points) is
+// regenerated from the scenario parameters, which the fingerprint pins: a
+// checkpoint refuses to restore against a different world.
 //
 // Format mirrors the snapshot container (io/wire.hpp primitives):
 //   magic "ASRELCKP" | version u32 | payload_size u64 | fnv1a64 u64 |
@@ -44,7 +46,7 @@ namespace asrel::stream {
 inline constexpr std::string_view kCheckpointMagic = "ASRELCKP";
 /// A file of any other version is refused at the header, so the recovery
 /// ladder falls through to a cold bootstrap.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Pins the world a checkpoint belongs to. as_count + the three seeds +
 /// the vantage target count determine every regenerated artifact; the
@@ -69,8 +71,6 @@ struct StreamCheckpoint {
   /// Next churn-feed sequence number to consume (events [0, feed_position)
   /// are already reflected in this state).
   std::uint64_t feed_position = 0;
-  bool graph_dirty = false;
-  bool paths_dirty = false;
 
   std::vector<topo::Edge> edges;       ///< full table incl. tombstones
   /// Live prefix table, keyed by ascending ASN; only non-empty lists are

@@ -52,7 +52,7 @@ class DeltaAudit {
   [[nodiscard]] const std::string& topological_class_of(
       const val::AsLink& link);
 
-  /// Adapter for core::rebuild_snapshot_sections — the snapshot's links
+  /// Adapter for core::build_snapshot — the snapshot's links
   /// section pulls classes from the cache instead of a fresh BiasAudit.
   [[nodiscard]] core::SnapshotClassSource class_source();
 

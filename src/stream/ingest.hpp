@@ -18,11 +18,12 @@
 // queue is closed *and* empty — close() is the drain-aware shutdown: the
 // producer stops, the consumer finishes the backlog, then exits.
 //
-// QueueFeeder is the producer both tools run: one thread pushing a feed
-// into the queue. Its destructor closes the queue before joining, so a
-// consumer that leaves early (a failed verify, a shutdown) never strands
-// a kBlock push waiting for space; the feeder stops at the first push a
-// closed queue refuses, so only that in-flight event counts as shed.
+// QueueFeeder is the producer LiveRun (live_run.hpp) runs: one thread
+// pushing a feed into the queue. Its destructor closes the queue before
+// joining, so a consumer that leaves early (a failed verify, a shutdown)
+// never strands a kBlock push waiting for space; the feeder stops at the
+// first push a closed queue refuses, so only that in-flight event counts
+// as shed.
 #pragma once
 
 #include <atomic>

@@ -153,10 +153,8 @@ void StreamSession::rebuild_derived_state() {
   // BiasAudit, and it warms the per-link cache that later epochs
   // invalidate incrementally.
   auto source = audit_->class_source();
-  core::rebuild_snapshot_sections(snapshot_, *scenario_,
-                                  core::SnapshotSections::all(), &source);
-  graph_dirty_ = false;
-  paths_dirty_ = false;
+  snapshot_ = core::build_snapshot(*scenario_, &source);
+  dirty_ = false;
 }
 
 StreamSession::EventOutcome StreamSession::apply(const ChurnEvent& event) {
@@ -186,7 +184,7 @@ StreamSession::EventOutcome StreamSession::apply(const ChurnEvent& event) {
   metrics.events_applied.inc();
 
   if (!result.touched.empty()) {
-    graph_dirty_ = true;
+    dirty_ = true;
     // The propagator's role-split adjacency is a snapshot of the graph
     // the event just mutated.
     propagator_->rebuild_adjacency();
@@ -258,7 +256,6 @@ void StreamSession::reconverge(std::span<const topo::EdgeId> touched,
   metrics.origins_redone.add(redone);
   metrics.origins_skipped_scan.add(n - redone - cone_skipped);
   metrics.origins_skipped_cone.add(cone_skipped);
-  if (redone != 0) paths_dirty_ = true;
 }
 
 const io::Snapshot& StreamSession::publish(std::uint64_t built_unix_ms) {
@@ -276,31 +273,23 @@ const io::Snapshot& StreamSession::publish(std::uint64_t built_unix_ms) {
       if (paths_.origin_path_count(origin) == 0) continue;
       paths_.clear_origin(origin);
       paths_.recount();
-      paths_dirty_ = true;
+      dirty_ = true;
       break;
     }
   }
   StreamMetrics& metrics = StreamMetrics::get();
   const auto started = std::chrono::steady_clock::now();
 
-  if (graph_dirty_ || paths_dirty_) {
+  if (dirty_) {
     // Downstream stages (sanitize -> schemes -> extract -> clean ->
     // regions) are re-run over the maintained parts; the expensive
     // upstream — topology and all-origin propagation — is what
     // incrementality avoided.
     scenario_ = core::Scenario::from_parts(params_, *propagator_, world_,
                                            vps_, paths_);
-    core::SnapshotSections sections;
-    sections.ases = true;
-    sections.validation = true;
-    sections.algorithms = true;
-    sections.links = true;
-    sections.edges = graph_dirty_;
     auto source = audit_->class_source();
-    core::rebuild_snapshot_sections(snapshot_, *scenario_, sections,
-                                    &source);
-    graph_dirty_ = false;
-    paths_dirty_ = false;
+    snapshot_ = core::build_snapshot(*scenario_, &source);
+    dirty_ = false;
   }
   ++epoch_;
   ++stats_.epochs_published;
@@ -338,8 +327,6 @@ StreamCheckpoint StreamSession::checkpoint(
   cp.epoch = epoch_;
   cp.built_unix_ms = snapshot_.meta.built_unix_ms;
   cp.feed_position = feed_position;
-  cp.graph_dirty = graph_dirty_;
-  cp.paths_dirty = paths_dirty_;
   const auto edges = world_.graph.edges();
   cp.edges.assign(edges.begin(), edges.end());
   cp.prefixes.reserve(world_.prefixes.size());
@@ -382,11 +369,10 @@ std::unique_ptr<StreamSession> StreamSession::restore(
     session->world_.prefixes.emplace(asn, list);
   }
 
-  // The bootstrap body over the restored world. Every section is rebuilt:
-  // a section can differ from its last-published bytes only if its inputs
-  // changed since, and any such change set a dirty flag (restored below)
-  // that forces the same rebuild at the next publish — so rebuilding all
-  // of them here is exact, never stale.
+  // The bootstrap body over the restored world: the snapshot it builds
+  // already reflects every event the checkpoint holds, published or not,
+  // so the restored session is clean. A publish with no new events only
+  // restamps, and its bytes equal the never-crashed session's publish.
   session->rebuild_derived_state();
   if (session->audit_->sorted_transit_asns() != checkpoint.transit_asns) {
     return fail("checkpoint transit bits disagree with the restored world");
@@ -394,8 +380,6 @@ std::unique_ptr<StreamSession> StreamSession::restore(
   session->epoch_ = checkpoint.epoch;
   session->snapshot_.meta.epoch = checkpoint.epoch;
   session->snapshot_.meta.built_unix_ms = checkpoint.built_unix_ms;
-  session->graph_dirty_ = checkpoint.graph_dirty;
-  session->paths_dirty_ = checkpoint.paths_dirty;
   StreamMetrics::get().epoch.set(
       static_cast<std::int64_t>(checkpoint.epoch));
   return session;
@@ -407,7 +391,7 @@ StreamSession::WatchdogReport StreamSession::run_watchdog() {
   // Only audit a quiescent snapshot: with events pending publication the
   // maintained bytes legitimately trail the world and a mismatch would be
   // a false alarm, not corruption.
-  if (poisoned_ || graph_dirty_ || paths_dirty_) return report;
+  if (poisoned_ || dirty_) return report;
   report.ran = true;
   StreamMetrics& metrics = StreamMetrics::get();
   metrics.watchdog_runs.inc();

@@ -12,11 +12,12 @@
 //                  the scan to the endpoints' customer cones) ->
 //                  re-propagate only the dirty origins and re-harvest
 //                  just their path-table buckets.
-//   publish()      re-run the downstream stages (sanitize/schemes/
-//                  extract/clean/regions) over the maintained paths, then
-//                  rebuild only the snapshot sections the epoch's events
-//                  could have changed, classes served from the DeltaAudit
-//                  cache.
+//   publish()      if any event since the last publish touched an edge,
+//                  re-run the downstream stages (sanitize/schemes/
+//                  extract/clean/regions) over the maintained paths and
+//                  rebuild the whole snapshot through
+//                  core::build_snapshot, classes served from the
+//                  DeltaAudit cache; otherwise just restamp the meta.
 //
 // The invariant the metamorphic suite enforces: after ANY event sequence,
 // publish()'s snapshot is byte-identical to reference_snapshot() — a
@@ -25,8 +26,9 @@
 //
 // Resilience (DESIGN.md §14): checkpoint()/restore() extend that
 // invariant across process death — a restarted session resumes at epoch
-// K+1 with its next publish byte-identical to a never-crashed run — and
-// run_watchdog() byte-compares the maintained snapshot against the
+// K+1 with its next publish byte-identical to a never-crashed run, and
+// it starts clean, its snapshot already built from the restored world —
+// and run_watchdog() byte-compares the maintained snapshot against the
 // reference on a cadence, self-healing by full rebuild if they ever
 // disagree.
 #pragma once
@@ -67,9 +69,9 @@ class StreamSession {
   /// must be replaced via restore() or a fresh bootstrap.
   EventOutcome apply(const ChurnEvent& event);
 
-  /// Ends the epoch: refreshes derived pipeline state if any event since
-  /// the last publish changed the graph or paths, rebuilds the dirty
-  /// snapshot sections, and stamps meta.epoch/built_unix_ms. Returns the
+  /// Ends the epoch: if any event since the last publish changed the
+  /// graph, refreshes the derived pipeline state and rebuilds the whole
+  /// snapshot; then stamps meta.epoch/built_unix_ms. Returns the
   /// maintained snapshot (copy it to hand to EngineHub::publish).
   /// Throws std::logic_error on a poisoned session.
   const io::Snapshot& publish(std::uint64_t built_unix_ms);
@@ -90,11 +92,13 @@ class StreamSession {
   /// Rebuilds a session from a checkpoint: regenerates the static world
   /// from `params`, verifies the fingerprint, reinstalls edges/prefixes,
   /// re-derives everything else exactly as bootstrap does (all-origin
-  /// propagation included), and cross-checks the audit's transit bits.
-  /// Returns null (with `*error` filled) if the checkpoint belongs to a
-  /// different world or fails its integrity checks — callers then fall
-  /// down the recovery ladder. On success epoch() == checkpoint.epoch and
-  /// the next publish is byte-identical to a never-crashed run's.
+  /// propagation and the whole snapshot included), and cross-checks the
+  /// audit's transit bits. Returns null (with `*error` filled) if the
+  /// checkpoint belongs to a different world or fails its integrity
+  /// checks — callers then fall down the recovery ladder. On success
+  /// epoch() == checkpoint.epoch, the session is clean (a publish with no
+  /// new events only restamps), and the next publish is byte-identical
+  /// to a never-crashed run's.
   [[nodiscard]] static std::unique_ptr<StreamSession> restore(
       const core::ScenarioParams& params, const StreamCheckpoint& checkpoint,
       std::string* error = nullptr);
@@ -168,12 +172,10 @@ class StreamSession {
   Stats stats_;
   bool poisoned_ = false;
 
-  // Dirtiness accumulated since the last publish. Any structural event
-  // dirties the graph-derived sections; origin changes additionally dirty
-  // everything path-derived. Prefix-only epochs leave both false and
-  // publish() just restamps the meta.
-  bool graph_dirty_ = false;
-  bool paths_dirty_ = false;
+  // Set by any event since the last publish that touched an edge (and so
+  // possibly paths); publish() then rebuilds the snapshot. Prefix-only
+  // epochs leave it false and publish() just restamps the meta.
+  bool dirty_ = false;
 };
 
 /// The recovery ladder: newest checkpoint -> previous checkpoint -> cold

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -35,6 +37,121 @@
 
 namespace asrel {
 namespace {
+
+/// Strict RFC 8259 check: `text` is exactly one JSON value, surrounded by
+/// nothing but whitespace. Catches a torn or mis-spliced render and any
+/// string a writer failed to escape.
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view text) : text_(text) {}
+
+  bool valid() {
+    skip_space();
+    if (!value()) return false;
+    skip_space();
+    return pos_ == text_.size();
+  }
+
+ private:
+  [[nodiscard]] bool at(char c) const {
+    return pos_ < text_.size() && text_[pos_] == c;
+  }
+  [[nodiscard]] bool at_digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+  bool eat(char c) {
+    if (!at(c)) return false;
+    ++pos_;
+    return true;
+  }
+  void skip_space() {
+    while (at(' ') || at('\t') || at('\n') || at('\r')) ++pos_;
+  }
+  void skip_digits() {
+    while (at_digit()) ++pos_;
+  }
+
+  bool value() {
+    if (at('{')) return members('}', true);
+    if (at('[')) return members(']', false);
+    if (at('"')) return string();
+    for (const std::string_view word : {"true", "false", "null"}) {
+      if (text_.substr(pos_, word.size()) == word) {
+        pos_ += word.size();
+        return true;
+      }
+    }
+    return number();
+  }
+
+  /// An object (`keyed`) or an array, opening bracket included.
+  bool members(char close, bool keyed) {
+    ++pos_;
+    skip_space();
+    if (eat(close)) return true;
+    do {
+      skip_space();
+      if (keyed) {
+        if (!string()) return false;
+        skip_space();
+        if (!eat(':')) return false;
+        skip_space();
+      }
+      if (!value()) return false;
+      skip_space();
+    } while (eat(','));
+    return eat(close);
+  }
+
+  bool string() {
+    if (!eat('"')) return false;
+    while (pos_ < text_.size()) {
+      const auto c = static_cast<unsigned char>(text_[pos_++]);
+      if (c == '"') return true;
+      if (c < 0x20) return false;
+      if (c != '\\') continue;
+      if (pos_ >= text_.size()) return false;
+      const char escape = text_[pos_++];
+      if (escape == 'u') {
+        for (int i = 0; i < 4; ++i, ++pos_) {
+          if (pos_ >= text_.size() ||
+              std::isxdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
+            return false;
+          }
+        }
+      } else if (std::string_view{"\"\\/bfnrt"}.find(escape) ==
+                 std::string_view::npos) {
+        return false;
+      }
+    }
+    return false;
+  }
+
+  bool number() {
+    eat('-');
+    if (!eat('0')) {
+      if (!at_digit()) return false;
+      skip_digits();
+    }
+    if (eat('.')) {
+      if (!at_digit()) return false;
+      skip_digits();
+    }
+    if (eat('e') || eat('E')) {
+      if (!eat('+')) eat('-');
+      if (!at_digit()) return false;
+      skip_digits();
+    }
+    return true;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+bool parses_as_json(std::string_view text) {
+  return JsonChecker{text}.valid();
+}
 
 // ---------------------------------------------------------------- counters
 
@@ -296,10 +413,15 @@ TEST(Obs, ChromeTraceJsonHasOneEventPerSpan) {
   obs::ScopedTracing tracing{true, /*clear_on_exit=*/true};
   tracer.clear();
   { obs::TraceSpan span{"obs.test.chrome"}; }
+  // A name with a quote and a backslash must come out escaped.
+  { obs::TraceSpan span{"obs.test.\"quoted\\path\""}; }
   const std::string json = tracer.chrome_trace_json();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"obs.test.chrome\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find(R"("obs.test.\"quoted\\path\"")"), std::string::npos)
+      << json;
+  EXPECT_TRUE(parses_as_json(json)) << json;
 }
 
 // ------------------------------------------- tracing never changes output
@@ -490,35 +612,6 @@ void wait_for_fresh_rate_window() {
   }
 }
 
-/// Structural JSON sanity: braces/brackets balance outside strings and
-/// every string closes. Enough to catch a torn or mis-spliced render; CI
-/// runs the real parser on crash dumps.
-bool looks_like_balanced_json(const std::string& text) {
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (const char c : text) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      if (--depth < 0) return false;
-    }
-  }
-  return depth == 0 && !in_string;
-}
-
 TEST(Obs, EventLogConcurrentEmitKeepsTotalOrder) {
   obs::ScopedLogging logging{true, /*clear_on_exit=*/true};
   obs::EventLog& log = obs::EventLog::instance();
@@ -608,7 +701,7 @@ TEST(Obs, EventLogRenderGolden) {
             "\"level\":\"warn\",\"component\":\"stream.hub\","
             "\"event\":\"swap\",\"tid\":3,"
             "\"request_id\":\"00000000deadbeef\",\"epoch\":9,\"ok\":true}");
-  EXPECT_TRUE(looks_like_balanced_json(out));
+  EXPECT_TRUE(parses_as_json(out));
 
   // request_id 0 means "not request-scoped" and the key is omitted.
   event.request_id = 0;
@@ -616,7 +709,7 @@ TEST(Obs, EventLogRenderGolden) {
   out.clear();
   obs::EventLog::render_event(event, out);
   EXPECT_EQ(out.find("request_id"), std::string::npos);
-  EXPECT_TRUE(looks_like_balanced_json(out));
+  EXPECT_TRUE(parses_as_json(out));
 }
 
 TEST(Obs, JsonEscapingCoversQuotesAndControlChars) {
@@ -779,7 +872,7 @@ TEST(ObsHttpRequestId, EchoAndJoinAcrossSlowzTracezLogz) {
   // The tagged request is findable in /slowz (a cold ring retains it),
   // stamped with the supplier's epoch.
   EXPECT_EQ(client.get("/slowz", &body), 200);
-  EXPECT_TRUE(looks_like_balanced_json(body)) << body;
+  EXPECT_TRUE(parses_as_json(body)) << body;
   EXPECT_NE(body.find("\"00000000deadbeef\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"epoch\":77"), std::string::npos);
   EXPECT_NE(body.find("\"/ping\":["), std::string::npos);
@@ -800,7 +893,7 @@ TEST(ObsHttpRequestId, EchoAndJoinAcrossSlowzTracezLogz) {
   // ...and in /logz via ?id=: retention in the slow ring logged the
   // request while its id was hot.
   EXPECT_EQ(client.get("/logz?id=00000000deadbeef", &body), 200);
-  EXPECT_TRUE(looks_like_balanced_json(body)) << body;
+  EXPECT_TRUE(parses_as_json(body)) << body;
   EXPECT_NE(body.find("\"event\":\"slow_request\""), std::string::npos)
       << body;
   EXPECT_NE(body.find("\"request_id\":\"00000000deadbeef\""),
@@ -845,7 +938,7 @@ TEST(Obs, FlightRecorderComposesValidJsonAndDumpsOnFatalSignal) {
   // In-process: the composed dump is exactly what the handler would
   // write, and it is structurally valid JSON with the live preamble.
   const std::string composed = flight.compose_for_test(SIGSEGV);
-  EXPECT_TRUE(looks_like_balanced_json(composed)) << composed;
+  EXPECT_TRUE(parses_as_json(composed)) << composed;
   EXPECT_NE(composed.find("\"signal\":11"), std::string::npos);
   EXPECT_NE(composed.find("\"signal_name\":\"SIGSEGV\""), std::string::npos);
   EXPECT_NE(composed.find("\"crash_epoch\":42"), std::string::npos);
@@ -878,7 +971,7 @@ TEST(Obs, FlightRecorderComposesValidJsonAndDumpsOnFatalSignal) {
   ASSERT_TRUE(in.good()) << "no crash dump at " << dump_path;
   const std::string dump{std::istreambuf_iterator<char>(in),
                          std::istreambuf_iterator<char>()};
-  EXPECT_TRUE(looks_like_balanced_json(dump)) << dump;
+  EXPECT_TRUE(parses_as_json(dump)) << dump;
   EXPECT_NE(dump.find("\"signal\":6"), std::string::npos);
   EXPECT_NE(dump.find("\"signal_name\":\"SIGABRT\""), std::string::npos);
   EXPECT_NE(dump.find("\"crash_epoch\":42"), std::string::npos);

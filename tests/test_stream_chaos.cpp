@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "io/snapshot.hpp"
+#include "obs/metrics.hpp"
 #include "serve/fault_inject.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/churn.hpp"
@@ -110,9 +111,9 @@ TEST(StreamChaos, CheckpointRoundTripsThroughBytes) {
 }
 
 TEST(StreamChaos, RestoredSessionCheckpointsToTheSameBytes) {
-  // Restore keeps everything a checkpoint holds, the prefix table and a
-  // mid-epoch checkpoint's dirty flags included: checkpointing the
-  // restored session at the same feed position gives the same bytes.
+  // Restore keeps everything a checkpoint holds, the prefix table of a
+  // mid-epoch checkpoint included: checkpointing the restored session at
+  // the same feed position gives the same bytes.
   const auto params = chaos_params();
   stream::StreamSession session{params};
   const auto events = stream::generate_churn(session.world(), 3, 20);
@@ -120,7 +121,6 @@ TEST(StreamChaos, RestoredSessionCheckpointsToTheSameBytes) {
   session.publish(2);
   for (std::size_t i = 10; i < events.size(); ++i) session.apply(events[i]);
   const stream::StreamCheckpoint checkpoint = session.checkpoint(20);
-  ASSERT_TRUE(checkpoint.graph_dirty);
   ASSERT_FALSE(checkpoint.prefixes.empty());
 
   std::string error;
@@ -129,6 +129,31 @@ TEST(StreamChaos, RestoredSessionCheckpointsToTheSameBytes) {
   ASSERT_NE(restored, nullptr) << error;
   EXPECT_EQ(stream::to_checkpoint_bytes(restored->checkpoint(20)),
             stream::to_checkpoint_bytes(checkpoint));
+}
+
+TEST(StreamChaos, RestoredMidEpochSessionIsClean) {
+  // Restore builds the snapshot from the restored world, so a mid-epoch
+  // checkpoint restores to a clean session: a publish with no new events
+  // only restamps (the pipeline does not rerun), and its bytes equal the
+  // never-crashed session's publish, which does rerun it.
+  const auto params = chaos_params();
+  stream::StreamSession session{params};
+  const auto events = stream::generate_churn(session.world(), 3, 20);
+  for (std::size_t i = 0; i < 10; ++i) session.apply(events[i]);
+  session.publish(2);
+  for (std::size_t i = 10; i < events.size(); ++i) session.apply(events[i]);
+  std::string error;
+  const auto restored =
+      stream::StreamSession::restore(params, session.checkpoint(20), &error);
+  ASSERT_NE(restored, nullptr) << error;
+
+  const obs::Counter& sanitize_runs = obs::MetricsRegistry::global().counter(
+      "asrel_stage_runs_total{stage=\"pipeline.sanitize\"}");
+  const std::uint64_t before = sanitize_runs.value();
+  const std::string bytes = io::to_snapshot_bytes(restored->publish(3));
+  EXPECT_EQ(sanitize_runs.value(), before);
+  EXPECT_EQ(bytes, io::to_snapshot_bytes(session.publish(3)));
+  EXPECT_GT(sanitize_runs.value(), before);
 }
 
 TEST(StreamChaos, ParserRejectsTornAndCorruptBytes) {

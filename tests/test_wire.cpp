@@ -321,7 +321,6 @@ TEST(Wire, CheckpointCodecIsCanonicalAndRejectsCorruption) {
   checkpoint.epoch = 12;
   checkpoint.built_unix_ms = 1234567;
   checkpoint.feed_position = 99;
-  checkpoint.graph_dirty = true;
   checkpoint.transit_asns = {asn::Asn{10}, asn::Asn{20},
                              asn::Asn{4200000000}};
 
@@ -335,8 +334,6 @@ TEST(Wire, CheckpointCodecIsCanonicalAndRejectsCorruption) {
   EXPECT_EQ(parsed->epoch, 12u);
   EXPECT_EQ(parsed->built_unix_ms, 1234567u);
   EXPECT_EQ(parsed->feed_position, 99u);
-  EXPECT_TRUE(parsed->graph_dirty);
-  EXPECT_FALSE(parsed->paths_dirty);
   EXPECT_EQ(parsed->transit_asns, checkpoint.transit_asns);
 
   // Canonical: accepted bytes re-encode byte-identically.

@@ -55,17 +55,15 @@
 // Endpoints: /rel /as /links /report/{regional,topological} /report/table
 // /snapshot /healthz /statsz /metricsz /tracez /logz /slowz — see
 // src/serve/service.hpp.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,11 +78,8 @@
 #include "serve/http_server.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
-#include "stream/checkpoint.hpp"
-#include "stream/churn.hpp"
 #include "stream/ingest.hpp"
-#include "stream/session.hpp"
-#include "topology/generator.hpp"
+#include "stream/live_run.hpp"
 
 namespace {
 
@@ -106,20 +101,10 @@ struct Args {
   int log_stderr = -1;     ///< stderr log sink level; -1 = off
   std::string crash_dir;   ///< arm the crash flight recorder here
 
-  // Live mode (--generate only): nonzero stream_events or --replay
-  // enables it.
-  int stream_events = 0;
+  // Live mode (--generate only): nonzero --stream-events or --replay
+  // enables it. --stream-batch defaults to 10 (set in parse_args).
+  stream::LiveConfig live;
   int stream_interval_ms = 1000;
-  int stream_batch = 10;
-  std::uint64_t churn_seed = 1;
-  std::string replay;
-
-  // Live-mode resilience.
-  std::string checkpoint_dir;
-  int checkpoint_every = 5;
-  int watchdog_every = 0;
-  int queue_cap = 1024;
-  stream::QueuePolicy queue_policy = stream::QueuePolicy::kBlock;
 };
 
 int usage() {
@@ -153,6 +138,7 @@ int parse_log_level(std::string_view name) {
 
 std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
+  args.live.batch = 10;
   for (int i = 1; i < argc; ++i) {
     const std::string_view flag = argv[i];
     if (flag == "--generate") {
@@ -165,6 +151,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
     }
     if (i + 1 >= argc) return std::nullopt;
     const char* value = argv[++i];
+    if (stream::parse_live_flag(flag, value, args.live)) continue;
     if (flag == "--snapshot") {
       args.snapshot = value;
     } else if (flag == "--as-count") {
@@ -194,30 +181,18 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (flag == "--crash-dir") {
       args.crash_dir = value;
     } else if (flag == "--stream-events") {
-      args.stream_events = std::atoi(value);
+      args.live.events = std::atoi(value);
     } else if (flag == "--stream-interval-ms") {
       args.stream_interval_ms = std::atoi(value);
     } else if (flag == "--stream-batch") {
-      args.stream_batch = std::atoi(value);
-    } else if (flag == "--churn-seed") {
-      args.churn_seed = std::strtoull(value, nullptr, 10);
-    } else if (flag == "--replay") {
-      args.replay = value;
-    } else if (flag == "--checkpoint-dir") {
-      args.checkpoint_dir = value;
-    } else if (flag == "--checkpoint-every") {
-      args.checkpoint_every = std::atoi(value);
-    } else if (flag == "--watchdog-every") {
-      args.watchdog_every = std::atoi(value);
-    } else if (flag == "--queue-cap") {
-      args.queue_cap = std::atoi(value);
+      args.live.batch = std::atoi(value);
     } else if (flag == "--queue-policy") {
       const auto policy = stream::parse_queue_policy(value);
       if (!policy) {
         std::fprintf(stderr, "unknown queue policy: %s\n", value);
         return std::nullopt;
       }
-      args.queue_policy = *policy;
+      args.live.queue_policy = *policy;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i - 1]);
       return std::nullopt;
@@ -225,12 +200,13 @@ std::optional<Args> parse_args(int argc, char** argv) {
   }
   // Exactly one source: --snapshot or --generate.
   if (args.snapshot.empty() == !args.generate) return std::nullopt;
-  const bool live = args.stream_events > 0 || !args.replay.empty();
-  if (live && !args.generate) return std::nullopt;
-  if (args.stream_events > 0 && !args.replay.empty()) return std::nullopt;
-  if (args.stream_batch < 1) args.stream_batch = 1;
-  if (args.checkpoint_every < 1) args.checkpoint_every = 1;
-  if (args.queue_cap < 1) args.queue_cap = 1;
+  const bool has_events = args.live.events > 0;
+  if ((has_events || !args.live.replay.empty()) && !args.generate) {
+    return std::nullopt;
+  }
+  if (has_events && !args.live.replay.empty()) return std::nullopt;
+  args.live.params.topology.as_count = args.as_count;
+  args.live.params.topology.seed = args.seed;
   return args;
 }
 
@@ -244,67 +220,55 @@ void on_sighup(int) {
   if (g_hub != nullptr) g_hub->request_reload();
 }
 
-/// Mutex-guarded mirror of the live pipeline's state: the main loop
-/// updates it after every publish, HTTP workers render it into /statsz
-/// via AsrelService::set_stream_stats.
-struct StreamStatus {
-  std::mutex mutex;
-  std::uint64_t resumed_epoch = 0;  ///< 0 = cold bootstrap
-  std::size_t checkpoints_rejected = 0;
-  std::string recovery_detail;
-  std::uint64_t recoveries = 0;  ///< in-process restores after poisoning
-  std::uint64_t checkpoints_written = 0;
-  std::string last_diff_section;
-  std::uint64_t feed_position = 0;
-  stream::StreamSession::Stats session;
-  stream::EventQueue::Stats queue;
-  std::size_t queue_depth = 0;
-  std::size_t queue_cap = 0;
-  std::string queue_policy;
-
-  std::string to_json() {
-    std::lock_guard lock{mutex};
-    serve::JsonWriter json;
-    json.begin_object();
-    json.key("recovery").begin_object();
-    json.field("resumed_epoch", resumed_epoch);
-    json.field("checkpoints_rejected", checkpoints_rejected);
-    json.field("in_process_restores", recoveries);
-    json.field("detail", recovery_detail);
-    json.end_object();
-    json.key("checkpoint").begin_object();
-    json.field("written", checkpoints_written);
-    json.field("feed_position", feed_position);
-    json.end_object();
-    json.key("watchdog").begin_object();
-    json.field("divergences", session.divergences);
-    json.field("heals", session.heals);
-    if (!last_diff_section.empty()) {
-      json.field("last_diff_section", last_diff_section);
-    }
-    json.end_object();
-    json.key("events").begin_object();
-    json.field("applied", session.events_applied);
-    json.field("noop", session.events_noop);
-    json.field("origins_redone", session.origins_redone);
-    json.field("origins_skipped", session.origins_skipped);
-    json.field("origins_skipped_cone", session.origins_skipped_cone);
-    json.field("epochs_published", session.epochs_published);
-    json.end_object();
-    json.key("queue").begin_object();
-    json.field("policy", queue_policy);
-    json.field("cap", queue_cap);
-    json.field("depth", queue_depth);
-    json.field("pushed", queue.pushed);
-    json.field("popped", queue.popped);
-    json.field("shed", queue.shed);
-    json.field("coalesced", queue.coalesced);
-    json.field("blocked", queue.blocked);
-    json.end_object();
-    json.end_object();
-    return std::move(json).str();
+/// /statsz's "stream" object for the live run, rendered on the main loop
+/// after every epoch; HTTP workers read the last rendering through
+/// AsrelService::set_stream_stats.
+std::string stream_status_json(const stream::LiveRun& run,
+                               const std::string& last_diff_section) {
+  const auto& recovery = run.recovery();
+  const auto& session = run.session().stats();
+  const auto& queue = run.queue();
+  const auto queue_stats = queue.stats();
+  serve::JsonWriter json;
+  json.begin_object();
+  json.key("recovery").begin_object();
+  json.field("resumed_epoch", recovery.resumed_epoch);
+  json.field("checkpoints_rejected", recovery.checkpoints_rejected);
+  json.field("in_process_restores", recovery.in_process_restores);
+  json.field("detail", recovery.detail);
+  json.end_object();
+  json.key("checkpoint").begin_object();
+  json.field("written", run.checkpoints_written());
+  json.field("feed_position", run.applied_through());
+  json.end_object();
+  json.key("watchdog").begin_object();
+  json.field("divergences", session.divergences);
+  json.field("heals", session.heals);
+  if (!last_diff_section.empty()) {
+    json.field("last_diff_section", last_diff_section);
   }
-};
+  json.end_object();
+  json.key("events").begin_object();
+  json.field("applied", session.events_applied);
+  json.field("noop", session.events_noop);
+  json.field("origins_redone", session.origins_redone);
+  json.field("origins_skipped", session.origins_skipped);
+  json.field("origins_skipped_cone", session.origins_skipped_cone);
+  json.field("epochs_published", session.epochs_published);
+  json.end_object();
+  json.key("queue").begin_object();
+  json.field("policy", std::string{to_string(queue.policy())});
+  json.field("cap", queue.cap());
+  json.field("depth", queue.depth());
+  json.field("pushed", queue_stats.pushed);
+  json.field("popped", queue_stats.popped);
+  json.field("shed", queue_stats.shed);
+  json.field("coalesced", queue_stats.coalesced);
+  json.field("blocked", queue_stats.blocked);
+  json.end_object();
+  json.end_object();
+  return std::move(json).str();
+}
 
 }  // namespace
 
@@ -333,76 +297,35 @@ int main(int argc, char** argv) {
   }
 
   io::Snapshot snapshot;
-  std::unique_ptr<stream::StreamSession> session;
-  std::vector<stream::ChurnEvent> churn;
-  const bool live =
-      args->generate && (args->stream_events > 0 || !args->replay.empty());
-  core::ScenarioParams stream_params;
-  std::optional<stream::CheckpointDir> checkpoint_dir;
-  StreamStatus stream_status;
-  std::uint64_t applied_through = 0;  ///< events [0, here) are reflected
-  if (live) {
+  std::optional<stream::LiveRun> live;
+  std::mutex stream_status_mutex;
+  std::string stream_status;  ///< guarded by stream_status_mutex
+  if (args->live.events > 0 || !args->live.replay.empty()) {
     std::fprintf(stderr,
                  "bootstrapping streaming session (%d ASes, seed %llu)...\n",
                  args->as_count,
                  static_cast<unsigned long long>(args->seed));
     const auto started = std::chrono::steady_clock::now();
-    stream_params.topology.as_count = args->as_count;
-    stream_params.topology.seed = args->seed;
-    if (!args->checkpoint_dir.empty()) {
-      checkpoint_dir.emplace(args->checkpoint_dir);
-      auto outcome = stream::recover_session(stream_params, *checkpoint_dir);
-      session = std::move(outcome.session);
-      applied_through = outcome.feed_position;
+    try {
+      live.emplace(args->live);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
+    if (!args->live.checkpoint_dir.empty()) {
       std::fprintf(stderr, "recovery: %s (%zu checkpoint(s) rejected)\n",
-                   outcome.detail.c_str(), outcome.checkpoints_rejected);
-      stream_status.resumed_epoch = outcome.resumed_epoch;
-      stream_status.checkpoints_rejected = outcome.checkpoints_rejected;
-      stream_status.recovery_detail = std::move(outcome.detail);
-      stream_status.feed_position = applied_through;
-    } else {
-      session = std::make_unique<stream::StreamSession>(stream_params);
-      stream_status.recovery_detail = "cold bootstrap (no checkpoint dir)";
+                   live->recovery().detail.c_str(),
+                   live->recovery().checkpoints_rejected);
     }
-    if (!args->replay.empty()) {
-      std::ifstream in{args->replay};
-      if (!in) {
-        std::fprintf(stderr, "error: cannot open %s\n", args->replay.c_str());
-        return 1;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      std::string parse_error;
-      churn = stream::parse_churn_text(text.str(), &parse_error);
-      if (churn.empty() && !parse_error.empty()) {
-        std::fprintf(stderr, "error parsing %s: %s\n", args->replay.c_str(),
-                     parse_error.c_str());
-        return 1;
-      }
-    } else {
-      // Generate from the pristine world, not session->world(): a resumed
-      // session's world already reflects churn and would yield a feed that
-      // disagrees with the original run's.
-      const topo::World pristine = topo::generate(stream_params.topology);
-      churn = stream::generate_churn(
-          pristine, args->churn_seed,
-          static_cast<std::size_t>(args->stream_events));
-    }
-    snapshot = session->snapshot();
+    stream_status = stream_status_json(*live, {});
+    snapshot = live->session().snapshot();
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - started);
     std::fprintf(stderr,
                  "bootstrap took %lld ms; %zu churn events queued "
                  "(batch %d every %d ms)\n",
-                 static_cast<long long>(elapsed.count()), churn.size(),
-                 args->stream_batch, args->stream_interval_ms);
-    if (!args->save.empty()) {
-      std::string error;
-      if (!io::save_flat_snapshot_file(snapshot, args->save, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 1;
-      }
-    }
+                 static_cast<long long>(elapsed.count()), live->feed().size(),
+                 args->live.batch, args->stream_interval_ms);
   } else if (args->generate) {
     std::fprintf(stderr, "building scenario (%d ASes, seed %llu)...\n",
                  args->as_count,
@@ -418,14 +341,14 @@ int main(int argc, char** argv) {
         std::chrono::steady_clock::now() - started);
     std::fprintf(stderr, "batch pipeline took %lld ms\n",
                  static_cast<long long>(elapsed.count()));
-    if (!args->save.empty()) {
-      std::string error;
-      if (!io::save_flat_snapshot_file(snapshot, args->save, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "saved snapshot to %s\n", args->save.c_str());
+  }
+  if (args->generate && !args->save.empty()) {
+    std::string error;
+    if (!io::save_flat_snapshot_file(snapshot, args->save, &error)) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      return 1;
     }
+    std::fprintf(stderr, "saved snapshot to %s\n", args->save.c_str());
   }
 
   // Reloads re-read the file the daemon serves from: --snapshot when
@@ -464,8 +387,10 @@ int main(int argc, char** argv) {
       std::move(initial_engine), std::move(loader));
   serve::AsrelService service{hub};
   if (live) {
-    service.set_stream_stats(
-        [&stream_status] { return stream_status.to_json(); });
+    service.set_stream_stats([&] {
+      std::lock_guard lock{stream_status_mutex};
+      return stream_status;
+    });
   }
 
   serve::HttpServerOptions options;
@@ -504,74 +429,24 @@ int main(int argc, char** argv) {
                "(SIGHUP reloads, Ctrl-C drains)\n",
                server.port(), args->threads);
 
-  // Backpressured ingest: a feeder thread pushes the churn feed into a
-  // bounded queue; the main loop drains up to --stream-batch events per
-  // interval. The gap between them is where a real deployment's collector
-  // feed would outrun re-convergence.
-  stream::EventQueue queue{static_cast<std::size_t>(args->queue_cap),
-                           args->queue_policy};
-  std::optional<stream::QueueFeeder> feeder;
-  if (live) feeder.emplace(queue, churn, applied_through);
-  bool feed_drained = !live || applied_through >= churn.size();
-
-  const auto update_stream_status = [&](bool count_checkpoint,
-                                        const std::string& diff_section) {
-    std::lock_guard lock{stream_status.mutex};
-    stream_status.session = session->stats();
-    stream_status.queue = queue.stats();
-    stream_status.queue_depth = queue.depth();
-    stream_status.queue_cap = queue.cap();
-    stream_status.queue_policy = std::string{to_string(queue.policy())};
-    stream_status.feed_position = applied_through;
-    if (count_checkpoint) ++stream_status.checkpoints_written;
-    if (!diff_section.empty()) {
-      stream_status.last_diff_section = diff_section;
+  // Writes an epoch's bytes to --save, crash-safely (tmp+rename), so a
+  // torn write never clobbers the last good file and SIGHUP reloads stay
+  // safe.
+  const auto save_epoch = [&](const io::Snapshot& epoch, const char* what) {
+    if (args->save.empty()) return;
+    std::string save_error;
+    if (!io::save_flat_snapshot_file(epoch, args->save, &save_error)) {
+      std::fprintf(stderr, "%s write failed (still serving): %s\n", what,
+                   save_error.c_str());
     }
   };
 
-  // Applies one event, recovering in process if the apply path poisons
-  // the session: restore from the newest checkpoint (or cold bootstrap),
-  // replay the in-memory feed up to this event, and apply it again.
-  const auto apply_with_recovery = [&](const stream::QueuedEvent& item)
-      -> std::size_t {
-    if (item.seq < applied_through) return 0;  // replayed post-recovery
-    try {
-      const auto outcome = session->apply(item.event);
-      applied_through = item.seq + 1;
-      return outcome.dirty_origins;
-    } catch (const std::bad_alloc&) {
-      std::fprintf(stderr,
-                   "stream: apply failed at event %llu, session poisoned; "
-                   "restoring...\n",
-                   static_cast<unsigned long long>(item.seq));
-      auto outcome = checkpoint_dir
-                         ? stream::recover_session(stream_params,
-                                                   *checkpoint_dir)
-                         : stream::RecoveryOutcome{
-                               std::make_unique<stream::StreamSession>(
-                                   stream_params),
-                               0, 0, 0, "cold bootstrap"};
-      session = std::move(outcome.session);
-      std::fprintf(stderr, "stream: %s\n", outcome.detail.c_str());
-      {
-        std::lock_guard lock{stream_status.mutex};
-        ++stream_status.recoveries;
-        stream_status.checkpoints_rejected += outcome.checkpoints_rejected;
-        stream_status.recovery_detail = outcome.detail;
-      }
-      // Catch up from the restore point using the in-memory feed, then
-      // land the event that crashed.
-      std::size_t redone = 0;
-      for (std::uint64_t seq = outcome.feed_position; seq <= item.seq;
-           ++seq) {
-        redone += session->apply(churn[seq]).dirty_origins;
-      }
-      applied_through = item.seq + 1;
-      return redone;
-    }
-  };
-
-  std::uint64_t epochs_since_checkpoint = 0;
+  // Backpressured ingest: the driver's feeder thread pushes the churn feed
+  // into a bounded queue; this loop applies up to --stream-batch queued
+  // events per interval. The gap between them is where a real
+  // deployment's collector feed would outrun re-convergence.
+  bool feed_drained = !live;
+  std::string last_diff_section;
   auto next_batch_at = std::chrono::steady_clock::now() +
                        std::chrono::milliseconds(args->stream_interval_ms);
   auto next_flight_refresh = std::chrono::steady_clock::now();
@@ -596,107 +471,70 @@ int main(int argc, char** argv) {
                      result.error.c_str());
       }
     }
-    if (live && !feed_drained &&
-        std::chrono::steady_clock::now() >= next_batch_at &&
-        queue.depth() > 0) {
-      std::size_t redone = 0;
-      std::size_t popped = 0;
-      while (popped < static_cast<std::size_t>(args->stream_batch) &&
-             queue.depth() > 0) {
-        const auto item = queue.pop();
-        if (!item) break;
-        ++popped;
-        redone += apply_with_recovery(*item);
+    if (!feed_drained && std::chrono::steady_clock::now() >= next_batch_at &&
+        live->queue().depth() > 0) {
+      const auto batch = live->apply_batch(/*wait=*/false);
+      if (batch.restored) {
+        std::fprintf(stderr, "stream: apply failed, session restored: %s\n",
+                     live->recovery().detail.c_str());
       }
       const std::uint64_t now_ms = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::milliseconds>(
               std::chrono::system_clock::now().time_since_epoch())
               .count());
-      const io::Snapshot& published = session->publish(now_ms);
-      if (!args->save.empty()) {
-        // Durable epoch: crash-safe tmp+rename, so a torn write never
-        // clobbers the last good file and SIGHUP reloads stay safe.
-        std::string save_error;
-        if (!io::save_flat_snapshot_file(published, args->save,
-                                         &save_error)) {
-          std::fprintf(stderr, "epoch write failed (still serving): %s\n",
-                       save_error.c_str());
-        }
-      }
+      const io::Snapshot& published = live->session().publish(now_ms);
+      save_epoch(published, "epoch");
       const auto result = hub->publish(published);
       std::fprintf(
           stderr,
           "stream: epoch %llu published (%llu/%zu events, "
           "%zu origins re-converged)\n",
           static_cast<unsigned long long>(result.epoch),
-          static_cast<unsigned long long>(applied_through), churn.size(),
-          redone);
+          static_cast<unsigned long long>(live->applied_through()),
+          live->feed().size(), batch.redone);
 
-      std::string diff_section;
-      if (args->watchdog_every > 0 &&
-          session->epoch() %
-                  static_cast<std::uint64_t>(args->watchdog_every) ==
-              0) {
-        const auto report = session->run_watchdog();
-        if (report.diverged) {
-          diff_section = report.first_diff_section;
-          std::fprintf(stderr,
-                       "stream: watchdog divergence in section '%s' (%s)\n",
-                       report.first_diff_section.c_str(),
-                       report.healed ? "healed, republishing"
-                                     : "NOT healed");
-          if (report.healed) {
-            hub->publish(session->snapshot());
-            if (!args->save.empty()) {
-              std::string save_error;
-              if (!io::save_flat_snapshot_file(session->snapshot(),
-                                               args->save, &save_error)) {
-                std::fprintf(stderr, "healed epoch write failed: %s\n",
-                             save_error.c_str());
-              }
-            }
-          }
+      const auto cadence = live->after_publish();
+      if (cadence.watchdog.diverged) {
+        last_diff_section = cadence.watchdog.first_diff_section;
+        std::fprintf(stderr,
+                     "stream: watchdog divergence in section '%s' (%s)\n",
+                     last_diff_section.c_str(),
+                     cadence.watchdog.healed ? "healed, republishing"
+                                             : "NOT healed");
+        if (cadence.watchdog.healed) {
+          hub->publish(live->session().snapshot());
+          save_epoch(live->session().snapshot(), "healed epoch");
         }
       }
-      bool wrote_checkpoint = false;
-      if (checkpoint_dir &&
-          ++epochs_since_checkpoint >=
-              static_cast<std::uint64_t>(args->checkpoint_every)) {
-        std::string ckpt_error;
-        if (checkpoint_dir->save(session->checkpoint(applied_through),
-                                 &ckpt_error)) {
-          epochs_since_checkpoint = 0;
-          wrote_checkpoint = true;
-        } else {
-          std::fprintf(stderr, "checkpoint write failed: %s\n",
-                       ckpt_error.c_str());
-        }
+      if (!cadence.checkpoint_error.empty()) {
+        std::fprintf(stderr, "checkpoint write failed: %s\n",
+                     cadence.checkpoint_error.c_str());
       }
-      update_stream_status(wrote_checkpoint, diff_section);
+      {
+        std::string status = stream_status_json(*live, last_diff_section);
+        std::lock_guard lock{stream_status_mutex};
+        stream_status = std::move(status);
+      }
       next_batch_at = std::chrono::steady_clock::now() +
                       std::chrono::milliseconds(args->stream_interval_ms);
     }
-    if (live && !feed_drained && feeder->done() && queue.depth() == 0) {
+    if (!feed_drained && live->drained()) {
       feed_drained = true;
       std::fprintf(stderr, "stream: churn feed drained, serving on\n");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        live && !feed_drained ? 20 : 100));
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(feed_drained ? 100 : 20));
   }
   if (live) {
     // Drain-aware shutdown: stop intake, let the feeder exit, and persist
     // a final checkpoint so the restart resumes exactly here.
-    feeder.reset();
-    if (checkpoint_dir && !session->poisoned()) {
-      std::string ckpt_error;
-      if (checkpoint_dir->save(session->checkpoint(applied_through),
-                               &ckpt_error)) {
-        std::fprintf(stderr, "stream: final checkpoint at feed %llu\n",
-                     static_cast<unsigned long long>(applied_through));
-      } else {
-        std::fprintf(stderr, "final checkpoint failed: %s\n",
-                     ckpt_error.c_str());
-      }
+    std::string ckpt_error;
+    if (!live->finish(&ckpt_error)) {
+      std::fprintf(stderr, "final checkpoint failed: %s\n",
+                   ckpt_error.c_str());
+    } else if (!args->live.checkpoint_dir.empty()) {
+      std::fprintf(stderr, "stream: final checkpoint at feed %llu\n",
+                   static_cast<unsigned long long>(live->applied_through()));
     }
   }
   std::fprintf(stderr, "draining (deadline %d ms)...\n", args->drain_ms);
