@@ -91,8 +91,7 @@ void add_algorithms(io::Snapshot& snapshot, const Scenario& scenario) {
       flatten(std::string{kSnapshotAlgorithms[2]}, toposcope.inference));
 }
 
-void add_links(io::Snapshot& snapshot, const Scenario& scenario,
-               const SnapshotClassSource* classes) {
+void add_links(io::Snapshot& snapshot, const Scenario& scenario) {
   // The interned string table is derived from the links section
   // (first-occurrence order over observed links), so both are built
   // together.
@@ -105,34 +104,22 @@ void add_links(io::Snapshot& snapshot, const Scenario& scenario,
     snapshot.class_names.push_back(std::move(name));
     return id;
   };
-  const auto fill = [&](const auto& regional, const auto& topological) {
-    // BiasAudit's inferred_links() is exactly observed().link_order(), so
-    // both callers below emit the same link sequence.
-    const auto& order = scenario.observed().link_order();
-    snapshot.links.reserve(order.size());
-    for (const auto& link : order) {
-      snapshot.links.push_back(io::SnapshotLinkTag{
-          .link = link,
-          .regional_class = intern(regional(link)),
-          .topological_class = intern(topological(link)),
-      });
-    }
-  };
-  if (classes != nullptr) {
-    fill(classes->regional_class_of, classes->topological_class_of);
-  } else {
-    const BiasAudit audit{scenario};
-    fill([&](const val::AsLink& link) { return audit.regional_class_of(link); },
-         [&](const val::AsLink& link) {
-           return audit.topological_class_of(link);
-         });
+  const BiasAudit audit{scenario};
+  // BiasAudit's inferred_links() is exactly observed().link_order().
+  const auto& order = scenario.observed().link_order();
+  snapshot.links.reserve(order.size());
+  for (const auto& link : order) {
+    snapshot.links.push_back(io::SnapshotLinkTag{
+        .link = link,
+        .regional_class = intern(audit.regional_class_of(link)),
+        .topological_class = intern(audit.topological_class_of(link)),
+    });
   }
 }
 
 }  // namespace
 
-io::Snapshot build_snapshot(const Scenario& scenario,
-                            const SnapshotClassSource* classes) {
+io::Snapshot build_snapshot(const Scenario& scenario) {
   io::Snapshot snapshot;
   snapshot.meta.as_count = scenario.params().topology.as_count;
   snapshot.meta.seed = scenario.params().topology.seed;
@@ -143,7 +130,7 @@ io::Snapshot build_snapshot(const Scenario& scenario,
   add_edges(snapshot, scenario);
   snapshot.validation = scenario.validation();
   add_algorithms(snapshot, scenario);
-  add_links(snapshot, scenario, classes);
+  add_links(snapshot, scenario);
   return snapshot;
 }
 

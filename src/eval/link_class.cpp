@@ -1,5 +1,6 @@
 #include "eval/link_class.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_set>
 
@@ -32,19 +33,28 @@ std::string_view to_string(TopoCategory category) {
   return "?";
 }
 
+std::vector<asn::Asn> transit_asns(const topo::AsGraph& graph) {
+  std::vector<std::uint8_t> provider(graph.node_count(), 0);
+  for (const auto& edge : graph.edges()) {
+    if (!edge.removed && edge.rel == topo::RelType::kP2C) provider[edge.u] = 1;
+  }
+  std::vector<asn::Asn> asns;
+  for (topo::NodeId node = 0; node < provider.size(); ++node) {
+    if (provider[node] != 0) asns.push_back(graph.asn_of(node));
+  }
+  std::sort(asns.begin(), asns.end());
+  return asns;
+}
+
 TopoClassifier TopoClassifier::from_world(const topo::World& world) {
   auto hypergiants = std::make_shared<std::unordered_set<asn::Asn>>(
       world.hypergiants.begin(), world.hypergiants.end());
   auto tier1 = std::make_shared<std::unordered_set<asn::Asn>>(
       world.clique.begin(), world.clique.end());
   // Transit = at least one customer in the ground-truth graph.
-  auto transit = std::make_shared<std::unordered_set<asn::Asn>>();
-  for (const auto& edge : world.graph.edges()) {
-    if (edge.removed) continue;
-    if (edge.rel == topo::RelType::kP2C) {
-      transit->insert(world.graph.asn_of(edge.u));
-    }
-  }
+  const auto transit_list = transit_asns(world.graph);
+  auto transit = std::make_shared<std::unordered_set<asn::Asn>>(
+      transit_list.begin(), transit_list.end());
   return TopoClassifier{
       [hypergiants](asn::Asn asn) { return hypergiants->contains(asn); },
       [tier1](asn::Asn asn) { return tier1->contains(asn); },

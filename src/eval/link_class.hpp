@@ -26,6 +26,11 @@ enum class TopoCategory : std::uint8_t { kHypergiant, kStub, kTier1, kTransit };
 
 [[nodiscard]] std::string_view to_string(TopoCategory category);
 
+/// ASNs with at least one customer: the provider endpoint (`u`) of a live
+/// P2C edge, ascending, each once. The transit rule TopoClassifier::
+/// from_world applies, and the set a stream checkpoint stores.
+[[nodiscard]] std::vector<asn::Asn> transit_asns(const topo::AsGraph& graph);
+
 /// Categorizes an AS the way §5 does: hypergiant list first, Tier-1 list
 /// next, then Transit iff the customer cone is non-empty, Stub otherwise.
 class TopoClassifier {

@@ -11,6 +11,16 @@ namespace {
 
 constexpr std::string_view kUnknownClass = "?";
 
+/// Report cache: aggregate JSON bodies, a handful per epoch.
+constexpr std::size_t kCacheShards = 8;
+constexpr std::size_t kCacheCapacityPerShard = 16;
+/// Rendered /rel bodies, keyed by canonical pair. Sized for the hot set of
+/// point lookups (8 x 4096 entries, a few MiB of JSON).
+constexpr std::size_t kRelCacheShards = 8;
+constexpr std::size_t kRelCacheCapacityPerShard = 4096;
+/// Tables 1-3 row threshold.
+constexpr std::size_t kTableMinLinks = 500;
+
 void append_coverage_json(JsonWriter& json, std::string_view name,
                           const eval::CoverageReport& report) {
   json.begin_object();
@@ -76,17 +86,13 @@ val::CleanLabel clean_label(const io::flat::Label& label) {
 
 }  // namespace
 
-QueryEngine::QueryEngine(const io::Snapshot& snapshot,
-                         QueryEngineOptions options)
-    : QueryEngine(encode_flat(snapshot), options) {}
+QueryEngine::QueryEngine(const io::Snapshot& snapshot)
+    : QueryEngine(encode_flat(snapshot)) {}
 
-QueryEngine::QueryEngine(std::shared_ptr<const io::FlatView> flat,
-                         QueryEngineOptions options)
+QueryEngine::QueryEngine(std::shared_ptr<const io::FlatView> flat)
     : flat_(std::move(flat)),
-      options_(options),
-      cache_(options.cache_shards, options.cache_capacity_per_shard),
-      rel_cache_(options.rel_cache_shards,
-                 options.rel_cache_capacity_per_shard) {
+      cache_(kCacheShards, kCacheCapacityPerShard),
+      rel_cache_(kRelCacheShards, kRelCacheCapacityPerShard) {
   const io::flat::Header& header = flat_->header();
   meta_.as_count = header.as_count;
   meta_.seed = header.seed;
@@ -291,9 +297,9 @@ std::optional<eval::ValidationTable> QueryEngine::validation_table(
   eval::ValidationTable table;
   table.total = eval::compute_class_metrics(pairs, "Total°");
   const auto regional = eval::build_validation_table(
-      pairs, classes(true), options_.table_min_links);
+      pairs, classes(true), kTableMinLinks);
   const auto topological = eval::build_validation_table(
-      pairs, classes(false), options_.table_min_links);
+      pairs, classes(false), kTableMinLinks);
   table.rows = regional.rows;
   table.rows.insert(table.rows.end(), topological.rows.begin(),
                     topological.rows.end());
@@ -326,7 +332,7 @@ std::shared_ptr<const std::string> QueryEngine::build_report(
     json.begin_object();
     json.field("report", "validation-table");
     json.field("algorithm", algorithm);
-    json.field("min_links", options_.table_min_links);
+    json.field("min_links", kTableMinLinks);
     json.key("total");
     append_class_metrics_json(json, table->total);
     json.key("rows").begin_array();

@@ -79,28 +79,16 @@ struct AsSummary {
   std::uint32_t validated_links = 0;  ///< validation entries incident
 };
 
-struct QueryEngineOptions {
-  std::size_t cache_shards = 8;
-  std::size_t cache_capacity_per_shard = 16;
-  std::size_t table_min_links = 500;  ///< Tables 1-3 row threshold
-  /// Rendered /rel bodies, keyed by canonical pair. Sized for the hot
-  /// set of point lookups (default 8 x 4096 entries, a few MiB of JSON).
-  std::size_t rel_cache_shards = 8;
-  std::size_t rel_cache_capacity_per_shard = 4096;
-};
-
 class QueryEngine {
  public:
   /// Encodes `snapshot` into a flat image the engine owns. Throws
   /// std::logic_error if the reader rejects the encoder's bytes.
-  explicit QueryEngine(const io::Snapshot& snapshot,
-                       QueryEngineOptions options = {});
+  explicit QueryEngine(const io::Snapshot& snapshot);
 
   /// Serves an image opened elsewhere (typically an mmap'd file) without
   /// copying it, so construction is O(1) and a reload is just mmap +
   /// validate.
-  explicit QueryEngine(std::shared_ptr<const io::FlatView> flat,
-                       QueryEngineOptions options = {});
+  explicit QueryEngine(std::shared_ptr<const io::FlatView> flat);
 
   // ---- point lookups (lock-free, O(1) hash probes) ----
   [[nodiscard]] RelAnswer rel(asn::Asn a, asn::Asn b) const;
@@ -154,7 +142,6 @@ class QueryEngine {
 
   std::shared_ptr<const io::FlatView> flat_;
   io::SnapshotMeta meta_;
-  QueryEngineOptions options_;
   mutable ShardedLruCache<std::string, std::string> cache_;
   /// Rendered /rel bodies keyed by (min<<32)|max of the pair.
   mutable ShardedLruCache<std::uint64_t, std::string> rel_cache_;

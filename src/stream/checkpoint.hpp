@@ -3,10 +3,13 @@
 // A StreamCheckpoint captures everything a StreamSession cannot re-derive
 // at restart: the churned edge table (the world's only mutable topology
 // state — adjacency is reconstructible from it), the live prefix table,
-// the DeltaAudit's effective transit bits, the publication epoch, and the
-// feed position. No dirty state is stored: restore rebuilds the whole
-// snapshot from the restored world, so a mid-epoch checkpoint restores to
-// a clean session whose next publish equals the never-crashed one's.
+// the transit ASNs, the publication epoch, and the feed position. The
+// transit ASNs are a stored cross-check value: checkpoint() and restore()
+// both derive them from the edge table (eval::transit_asns), and restore
+// refuses a checkpoint whose stored set disagrees with the restored
+// edges. No dirty state is stored: restore rebuilds the whole snapshot
+// from the restored world, so a mid-epoch checkpoint restores to a clean
+// session whose next publish equals the never-crashed one's.
 // Per-origin ribs are not stored either: propagation is a pure function
 // of the edge table, so restore re-propagates every origin, and the file
 // stays linear in the world's size instead of quadratic in its AS count.
@@ -77,7 +80,9 @@ struct StreamCheckpoint {
   /// stored (an empty list and an absent entry behave identically), each
   /// in its in-memory (announcement) order.
   std::vector<std::pair<asn::Asn, std::vector<net::Prefix4>>> prefixes;
-  std::vector<asn::Asn> transit_asns;  ///< DeltaAudit set bits, ascending
+  /// eval::transit_asns of the edge table, ascending: the providers of
+  /// live P2C edges.
+  std::vector<asn::Asn> transit_asns;
 };
 
 /// Deterministic: the same checkpoint value always serializes to the same

@@ -95,7 +95,10 @@ LiveRun::Batch LiveRun::apply_batch(bool wait) {
 }
 
 void LiveRun::apply(const QueuedEvent& item, Batch& batch) {
-  if (item.seq < applied_through_) return;
+  // Only a replay applies events ahead of the queue. A coalescing queue
+  // can pop a lower sequence number after a higher one, and that event
+  // is still new.
+  if (item.seq < replayed_through_) return;
   try {
     batch.redone += session_->apply(item.event).dirty_origins;
   } catch (const std::bad_alloc&) {
@@ -113,8 +116,9 @@ void LiveRun::apply(const QueuedEvent& item, Batch& batch) {
     for (std::uint64_t seq = outcome.feed_position; seq <= item.seq; ++seq) {
       batch.redone += session_->apply(feed_[seq]).dirty_origins;
     }
+    replayed_through_ = item.seq + 1;
   }
-  applied_through_ = item.seq + 1;
+  applied_through_ = std::max(applied_through_, item.seq + 1);
 }
 
 LiveRun::Cadence LiveRun::after_publish() {

@@ -69,10 +69,9 @@ class LiveRun {
 
   /// Pops up to `batch` events and applies them. With `wait`, blocks until
   /// the batch is full or the feed ends; otherwise takes only what is
-  /// queued. An event the session already reflects (a sequence number
-  /// below applied_through(), which a coalescing queue can hand back) is
-  /// skipped. A poisoned apply restores the session, replays the feed up
-  /// to the failing event, and leaves applied_through() one past it.
+  /// queued. A poisoned apply restores the session and replays the feed
+  /// up to the failing event; a queued event that replay already applied
+  /// is skipped when it pops.
   Batch apply_batch(bool wait);
 
   struct Cadence {
@@ -105,7 +104,7 @@ class LiveRun {
   [[nodiscard]] std::uint64_t checkpoints_written() const {
     return checkpoints_written_;
   }
-  /// Events [0, here) are reflected in the session: the feed position a
+  /// One past the highest sequence number applied: the feed position a
   /// checkpoint persists.
   [[nodiscard]] std::uint64_t applied_through() const {
     return applied_through_;
@@ -127,6 +126,8 @@ class LiveRun {
   std::unique_ptr<StreamSession> session_;
   Recovery recovery_;
   std::uint64_t applied_through_ = 0;
+  /// Events [0, here) were applied by an in-process replay.
+  std::uint64_t replayed_through_ = 0;
   std::uint64_t publishes_since_checkpoint_ = 0;
   std::uint64_t checkpoints_written_ = 0;
   EventQueue queue_;

@@ -8,12 +8,12 @@
 
 #include "core/parallel.hpp"
 #include "core/snapshot_builder.hpp"
+#include "eval/link_class.hpp"
 #include "io/wire.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/fault_inject.hpp"
-#include "stream/cone_filter.hpp"
 #include "topology/generator.hpp"
 
 namespace asrel::stream {
@@ -25,7 +25,6 @@ struct StreamMetrics {
   obs::Counter& events_noop;
   obs::Counter& origins_redone;
   obs::Counter& origins_skipped_scan;
-  obs::Counter& origins_skipped_cone;
   obs::Counter& divergences;
   obs::Counter& heals;
   obs::Counter& watchdog_runs;
@@ -46,8 +45,6 @@ struct StreamMetrics {
                     "Origins re-converged by the incremental propagator"),
         reg.counter("asrel_stream_origins_skipped_total{reason=\"rib_scan\"}",
                     "Origins proven unaffected (re-propagation skipped)"),
-        reg.counter(
-            "asrel_stream_origins_skipped_total{reason=\"cone_prefilter\"}"),
         reg.counter("asrel_stream_divergence_total",
                     "Watchdog mismatches between served and reference bytes"),
         reg.counter("asrel_stream_heals_total",
@@ -146,14 +143,9 @@ void StreamSession::rebuild_derived_state() {
   });
   paths_.recount();
 
-  audit_ = std::make_unique<DeltaAudit>(world_);
   scenario_ = core::Scenario::from_parts(params_, *propagator_, world_, vps_,
                                          paths_);
-  // Build through the audit's class source: identical bytes to a fresh
-  // BiasAudit, and it warms the per-link cache that later epochs
-  // invalidate incrementally.
-  auto source = audit_->class_source();
-  snapshot_ = core::build_snapshot(*scenario_, &source);
+  snapshot_ = core::build_snapshot(*scenario_);
   dirty_ = false;
 }
 
@@ -188,22 +180,8 @@ StreamSession::EventOutcome StreamSession::apply(const ChurnEvent& event) {
     // The propagator's role-split adjacency is a snapshot of the graph
     // the event just mutated.
     propagator_->rebuild_adjacency();
-    audit_->on_edges_touched(world_.graph, result.touched);
-    // Pure-P2P link adds admit a sound pre-scan narrowing: only origins in
-    // the endpoints' combined customer cones can even be offered the new
-    // path (see cone_filter.hpp for the argument). Every other event shape
-    // falls through to the full rib scan.
-    std::vector<std::uint8_t> cone;
-    const std::vector<std::uint8_t>* cone_ptr = nullptr;
-    if (event.kind == ChurnKind::kLinkAdd && result.touched.size() == 1) {
-      const topo::Edge& edge = world_.graph.edge(result.touched[0]);
-      if (cone_filter_applies(edge)) {
-        cone = p2p_add_candidates(world_.graph, edge);
-        cone_ptr = &cone;
-      }
-    }
     const std::uint64_t redone_before = stats_.origins_redone;
-    reconverge(result.touched, cone_ptr);
+    reconverge(result.touched);
     outcome.dirty_origins =
         static_cast<std::size_t>(stats_.origins_redone - redone_before);
   }
@@ -217,18 +195,15 @@ StreamSession::EventOutcome StreamSession::apply(const ChurnEvent& event) {
   return outcome;
 }
 
-void StreamSession::reconverge(std::span<const topo::EdgeId> touched,
-                               const std::vector<std::uint8_t>* candidates) {
+void StreamSession::reconverge(std::span<const topo::EdgeId> touched) {
   obs::StageScope stage{"stream.reconverge"};
   const std::size_t n = ribs_.size();
   const unsigned threads = bgp::origin_workers(params_.propagation.threads);
   core::ThreadPool& pool = core::ThreadPool::shared();
 
-  // Pass 1: conservative dirty scan — O(touched) per origin. Origins the
-  // cone prefilter excluded skip even that.
+  // Pass 1: conservative dirty scan — O(touched) per origin.
   std::vector<std::uint8_t> dirty(n, 0);
   pool.run_indexed(n, threads, [&](std::size_t i) {
-    if (candidates != nullptr && (*candidates)[i] == 0) return;
     dirty[i] = propagator_->rib_affected(ribs_[i], touched) ? 1 : 0;
   });
 
@@ -245,17 +220,11 @@ void StreamSession::reconverge(std::span<const topo::EdgeId> touched,
 
   std::uint64_t redone = 0;
   for (const auto flag : dirty) redone += flag;
-  std::uint64_t cone_skipped = 0;
-  if (candidates != nullptr) {
-    for (const auto flag : *candidates) cone_skipped += flag == 0 ? 1 : 0;
-  }
   stats_.origins_redone += redone;
   stats_.origins_skipped += n - redone;
-  stats_.origins_skipped_cone += cone_skipped;
   StreamMetrics& metrics = StreamMetrics::get();
   metrics.origins_redone.add(redone);
-  metrics.origins_skipped_scan.add(n - redone - cone_skipped);
-  metrics.origins_skipped_cone.add(cone_skipped);
+  metrics.origins_skipped_scan.add(n - redone);
 }
 
 const io::Snapshot& StreamSession::publish(std::uint64_t built_unix_ms) {
@@ -287,8 +256,7 @@ const io::Snapshot& StreamSession::publish(std::uint64_t built_unix_ms) {
     // incrementality avoided.
     scenario_ = core::Scenario::from_parts(params_, *propagator_, world_,
                                            vps_, paths_);
-    auto source = audit_->class_source();
-    snapshot_ = core::build_snapshot(*scenario_, &source);
+    snapshot_ = core::build_snapshot(*scenario_);
     dirty_ = false;
   }
   ++epoch_;
@@ -337,7 +305,7 @@ StreamCheckpoint StreamSession::checkpoint(
             [](const auto& a, const auto& b) {
               return a.first.value() < b.first.value();
             });
-  cp.transit_asns = audit_->sorted_transit_asns();
+  cp.transit_asns = eval::transit_asns(world_.graph);
   return cp;
 }
 
@@ -374,7 +342,7 @@ std::unique_ptr<StreamSession> StreamSession::restore(
   // so the restored session is clean. A publish with no new events only
   // restamps, and its bytes equal the never-crashed session's publish.
   session->rebuild_derived_state();
-  if (session->audit_->sorted_transit_asns() != checkpoint.transit_asns) {
+  if (eval::transit_asns(session->world_.graph) != checkpoint.transit_asns) {
     return fail("checkpoint transit bits disagree with the restored world");
   }
   session->epoch_ = checkpoint.epoch;

@@ -6,18 +6,17 @@
 // consistent under a stream of ChurnEvents at a fraction of a full
 // rebuild's cost:
 //
-//   apply(event)   mutate graph -> update audit transit bits ->
-//                  rib_affected scan over all origins (conservative,
-//                  O(events) per origin; pure-P2P link adds first narrow
-//                  the scan to the endpoints' customer cones) ->
-//                  re-propagate only the dirty origins and re-harvest
-//                  just their path-table buckets.
+//   apply(event)   mutate graph -> rib_affected scan over all origins
+//                  (conservative, O(events) per origin) -> re-propagate
+//                  only the dirty origins and re-harvest just their
+//                  path-table buckets.
 //   publish()      if any event since the last publish touched an edge,
 //                  re-run the downstream stages (sanitize/schemes/
 //                  extract/clean/regions) over the maintained paths and
 //                  rebuild the whole snapshot through
-//                  core::build_snapshot, classes served from the
-//                  DeltaAudit cache; otherwise just restamp the meta.
+//                  core::build_snapshot(scenario), the call the batch
+//                  path and reference_snapshot() make; otherwise just
+//                  restamp the meta.
 //
 // The invariant the metamorphic suite enforces: after ANY event sequence,
 // publish()'s snapshot is byte-identical to reference_snapshot() — a
@@ -43,7 +42,6 @@
 #include "io/snapshot.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/churn.hpp"
-#include "stream/delta_audit.hpp"
 
 namespace asrel::stream {
 
@@ -93,9 +91,10 @@ class StreamSession {
   /// from `params`, verifies the fingerprint, reinstalls edges/prefixes,
   /// re-derives everything else exactly as bootstrap does (all-origin
   /// propagation and the whole snapshot included), and cross-checks the
-  /// audit's transit bits. Returns null (with `*error` filled) if the
-  /// checkpoint belongs to a different world or fails its integrity
-  /// checks — callers then fall down the recovery ladder. On success
+  /// stored transit ASNs against the restored edge table. Returns null
+  /// (with `*error` filled) if the checkpoint belongs to a different world
+  /// or fails its integrity checks — callers then fall down the recovery
+  /// ladder. On success
   /// epoch() == checkpoint.epoch, the session is clean (a publish with no
   /// new events only restamps), and the next publish is byte-identical
   /// to a never-crashed run's.
@@ -129,9 +128,6 @@ class StreamSession {
     std::uint64_t events_noop = 0;
     std::uint64_t origins_redone = 0;   ///< re-propagated origins, cumulative
     std::uint64_t origins_skipped = 0;  ///< proven-clean origins, cumulative
-    /// Of origins_skipped, those the cone prefilter excluded before the
-    /// rib scan even ran (pure-P2P link adds only).
-    std::uint64_t origins_skipped_cone = 0;
     std::uint64_t epochs_published = 0;
     std::uint64_t divergences = 0;  ///< watchdog mismatches detected
     std::uint64_t heals = 0;        ///< successful self-heals
@@ -152,11 +148,10 @@ class StreamSession {
   StreamSession(const core::ScenarioParams& params, RestoreTag);
 
   void init_static(const core::ScenarioParams& params);
-  /// Re-derives ribs/paths/audit/scenario/snapshot from world_ alone (the
+  /// Re-derives ribs/paths/scenario/snapshot from world_ alone (the
   /// bootstrap body, reused by restore() and the watchdog's self-heal).
   void rebuild_derived_state();
-  void reconverge(std::span<const topo::EdgeId> touched,
-                  const std::vector<std::uint8_t>* cone_candidates);
+  void reconverge(std::span<const topo::EdgeId> touched);
 
   core::ScenarioParams params_;  ///< effective (threads override applied)
   topo::World world_;
@@ -165,7 +160,6 @@ class StreamSession {
   std::unique_ptr<bgp::Propagator> propagator_;
   std::vector<bgp::OriginRib> ribs_;  ///< by origin NodeId
   bgp::PathTable paths_;
-  std::unique_ptr<DeltaAudit> audit_;
   std::unique_ptr<core::Scenario> scenario_;
   io::Snapshot snapshot_;
   std::uint64_t epoch_ = 0;

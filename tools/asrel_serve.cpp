@@ -253,7 +253,6 @@ std::string stream_status_json(const stream::LiveRun& run,
   json.field("noop", session.events_noop);
   json.field("origins_redone", session.origins_redone);
   json.field("origins_skipped", session.origins_skipped);
-  json.field("origins_skipped_cone", session.origins_skipped_cone);
   json.field("epochs_published", session.epochs_published);
   json.end_object();
   json.key("queue").begin_object();
@@ -453,7 +452,7 @@ int main(int argc, char** argv) {
   while (!g_shutdown.load()) {
     if (flight.armed() &&
         std::chrono::steady_clock::now() >= next_flight_refresh) {
-      flight.set_epoch(hub->epoch());
+      flight.set_epoch(live ? live->session().epoch() : hub->epoch());
       flight.refresh();
       next_flight_refresh = std::chrono::steady_clock::now() +
                             std::chrono::milliseconds(1000);
@@ -484,12 +483,12 @@ int main(int argc, char** argv) {
               .count());
       const io::Snapshot& published = live->session().publish(now_ms);
       save_epoch(published, "epoch");
-      const auto result = hub->publish(published);
+      hub->publish(published);
       std::fprintf(
           stderr,
           "stream: epoch %llu published (%llu/%zu events, "
           "%zu origins re-converged)\n",
-          static_cast<unsigned long long>(result.epoch),
+          static_cast<unsigned long long>(published.meta.epoch),
           static_cast<unsigned long long>(live->applied_through()),
           live->feed().size(), batch.redone);
 
