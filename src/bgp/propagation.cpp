@@ -85,6 +85,14 @@ void Propagator::rebuild_adjacency() {
     begin[slot] = begin[slot - 1];
   }
   begin[0] = 0;
+  // A sink's sibling, customer and hybrid segments are all empty: the
+  // first two are contiguous, and hybrid ends where the next node begins.
+  sink_.resize(n);
+  for (NodeId node = 0; node < n; ++node) {
+    const std::size_t base = std::size_t{node} * kSegmentCount;
+    sink_[node] = begin[base + kSiblings] == begin[base + kPeers] &&
+                  begin[base + kHybrid] == begin[base + kSegmentCount];
+  }
   generation_ = graph.generation();
 }
 
@@ -159,9 +167,14 @@ bool Propagator::export_blocked(const OriginRib& rib, NodeId node,
 
 namespace {
 
+// Node states, ordered so try_improve takes offers for every state up to
+// kSink. reset() copies Propagator::sink_ (0 or 1) in as the first states.
 constexpr std::uint8_t kOpen = 0;
-constexpr std::uint8_t kSettled = 1;
-constexpr std::uint8_t kExported = 2;  // phase 3 has walked its customers
+constexpr std::uint8_t kSink = 1;      // records offers, is never queued
+constexpr std::uint8_t kSettled = 2;
+constexpr std::uint8_t kExported = 3;  // phase 3 has walked its customers
+constexpr std::uint8_t kUnread = 4;    // a sink nobody reads: never offered
+static_assert(kOpen == 0 && kSink == 1);
 
 struct PeerCandidate {
   NodeId node, parent;
@@ -173,15 +186,20 @@ struct PeerCandidate {
 /// propagators: reset() sizes it for the graph at hand and clears what a
 /// previous call (even one that threw) may have left behind.
 struct Scratch {
-  std::vector<std::uint8_t> state;   // by NodeId: kOpen/kSettled/kExported
+  std::vector<std::uint8_t> state;   // by NodeId: one of the states above
   std::vector<std::uint8_t> weight;  // 1 + prepends; valid once settled
   std::array<std::vector<NodeId>, kMaxDist> buckets;
   std::vector<NodeId> settled;  // in settling order: ascending distance
   std::vector<PeerCandidate> candidates;
 
-  void reset(std::size_t n) {
-    state.assign(n, kOpen);
-    weight.resize(n);
+  void reset(std::span<const std::uint8_t> sinks, NodeId origin,
+             std::span<const std::uint8_t> unread) {
+    state.assign(sinks.begin(), sinks.end());
+    state[origin] = kOpen;  // the origin exports its own route
+    for (std::size_t node = 0; node < unread.size(); ++node) {
+      if (unread[node] != 0 && state[node] == kSink) state[node] = kUnread;
+    }
+    weight.resize(sinks.size());
     for (auto& bucket : buckets) bucket.clear();
     settled.clear();
     candidates.clear();
@@ -195,13 +213,17 @@ Scratch& thread_scratch() {
 
 }  // namespace
 
-OriginRib Propagator::propagate(asn::Asn origin) const {
+OriginRib Propagator::propagate(asn::Asn origin,
+                                std::span<const std::uint8_t> unread) const {
   const auto& graph = world_->graph;
   if (graph.generation() != generation_) {
     throw std::logic_error{
         "Propagator: the graph changed since its adjacency was built"};
   }
   const std::size_t n = graph.node_count();
+  if (!unread.empty() && unread.size() != n) {
+    throw std::invalid_argument{"Propagator: unread mask is not one per node"};
+  }
 
   // Equal-preference, equal-length candidates tie-break on a per-origin
   // hash of the next hop rather than on the raw ASN: a global "lowest ASN
@@ -225,11 +247,14 @@ OriginRib Propagator::propagate(asn::Asn origin) const {
   rib.dist.assign(n, kMaxDist);
 
   Scratch& s = thread_scratch();
-  s.reset(n);
+  s.reset(sink_, rib.origin, unread);
 
+  // A sink exports nothing, so it only keeps its best offer: it takes
+  // offers in every phase and never enters a bucket or settles.
   const auto try_improve = [&](NodeId node, NodeId parent, EdgeId via,
                                RoutePref pref, std::uint16_t dist) {
-    if (dist >= kMaxDist || s.state[node] != kOpen) return;
+    const std::uint8_t state = s.state[node];
+    if (dist >= kMaxDist || state > kSink) return;
     const auto pref_value = static_cast<std::uint8_t>(pref);
     const bool better =
         pref_value > rib.pref[node] ||
@@ -242,7 +267,7 @@ OriginRib Propagator::propagate(asn::Asn origin) const {
     rib.via_edge[node] = via;
     rib.pref[node] = pref_value;
     rib.dist[node] = dist;
-    s.buckets[dist].push_back(node);
+    if (state == kOpen) s.buckets[dist].push_back(node);
   };
   // A node's prepend weight is rolled once, when it settles.
   const auto settle = [&](NodeId node) {
@@ -294,11 +319,11 @@ OriginRib Propagator::propagate(asn::Asn origin) const {
     if (export_blocked(rib, node, /*to_peer=*/true, origin)) continue;
     const std::uint16_t offer = offer_from(node);
     for (const Hop& hop : hops(node, kPeers, kPeers)) {
-      if (s.state[hop.node] != kOpen) continue;
+      if (s.state[hop.node] > kSink) continue;
       s.candidates.push_back({hop.node, node, hop.edge, offer});
     }
     for (const Hop& hop : hops(node, kHybrid, kHybrid)) {
-      if (s.state[hop.node] != kOpen) continue;
+      if (s.state[hop.node] > kSink) continue;
       if (hybrid_role(hop, node) != Neighbor::Role::kPeer) continue;
       s.candidates.push_back({hop.node, node, hop.edge, offer});
     }
@@ -318,7 +343,7 @@ OriginRib Propagator::propagate(asn::Asn origin) const {
     rib.pref[c.node] = peer_pref;
     rib.dist[c.node] = c.dist;
   }
-  for (const auto& c : s.candidates) {
+  for (const auto& c : s.candidates) {  // a sink's peer route is final
     if (s.state[c.node] == kOpen && rib.pref[c.node] == peer_pref) {
       settle(c.node);
     }
@@ -617,6 +642,9 @@ PathTable collect_paths(const Propagator& propagator,
 
   const std::vector<VpSession> sessions = resolve_vp_sessions(graph, vps);
   table.set_vantage_points(std::move(vps));
+  // The harvest reads only VP entries and their parent chains.
+  std::vector<std::uint8_t> unread(n, 1);
+  for (const auto& vp : sessions) unread[vp.node] = 0;
 
   // Each origin writes only its own bucket, so origins parallelize freely;
   // the path count is fixed up below because add_path's counter is not
@@ -625,7 +653,7 @@ PathTable collect_paths(const Propagator& propagator,
       n, origin_workers(propagator.params().threads),
       [&](std::size_t origin) {
         const asn::Asn origin_asn = graph.asn_of(static_cast<NodeId>(origin));
-        const OriginRib rib = propagator.propagate(origin_asn);
+        const OriginRib rib = propagator.propagate(origin_asn, unread);
         harvest_origin(propagator, rib, sessions, table);
       });
   table.recount();

@@ -30,6 +30,18 @@
 // propagate() keeps its working state (settled flags, distance buckets,
 // the settled list, peer candidates) in per-thread scratch reused across
 // origins, so a pool worker allocates only the returned rib.
+//
+// Sinks: most ASes have no sibling, customer or hybrid link. Such a sink
+// gets no customer route (nobody exports up to it) and passes its peer or
+// provider route to no one, so unless it is the origin no other AS's
+// selection reads its entry. The adjacency build marks sinks, and
+// propagate() only records a sink's best offer, in place: a sink never
+// enters a distance bucket, never settles and never rolls a prepend. Its
+// entry is the same as a bucket walk would settle, because every offer
+// made after a node settles at distance d is longer than d. A caller that
+// reads only some nodes passes `unread`: a sink whose flag is set (other
+// than the origin) is not offered a route at all and stays unreachable.
+// A set flag on a non-sink is ignored, since other selections read it.
 #pragma once
 
 #include <cstdint>
@@ -94,7 +106,11 @@ class Propagator {
 
   /// Full best-route computation for one origin (O(E)). Throws
   /// std::logic_error if the graph changed since the adjacency was built.
-  [[nodiscard]] OriginRib propagate(asn::Asn origin) const;
+  /// `unread`, empty or one byte per node: a sink whose byte is nonzero
+  /// is left unreachable in the result (see the header comment). With the
+  /// default, every node's entry is complete.
+  [[nodiscard]] OriginRib propagate(
+      asn::Asn origin, std::span<const std::uint8_t> unread = {}) const;
 
   /// Re-reads the graph's adjacency after in-place edge mutations, in one
   /// O(V+E) pass. The node set must be unchanged (std::logic_error).
@@ -172,6 +188,7 @@ class Propagator {
   std::vector<double> prepend_propensity_;  // by NodeId
   std::vector<std::uint32_t> segment_begin_;  // node * kSegmentCount + seg
   std::vector<Hop> hops_;
+  std::vector<std::uint8_t> sink_;  // by NodeId: 1 = exports to no one
   std::uint64_t generation_ = 0;  // graph generation the adjacency reflects
 };
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <limits>
+#include <optional>
 #include <system_error>
 #include <utility>
 
@@ -15,11 +16,20 @@ struct ThreadPool::Batch {
   std::size_t count = 0;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> remaining{0};
+  /// Threads inside drain_batch; the caller also waits for this to reach
+  /// 0, so every span of the batch is recorded before run_indexed returns.
+  std::atomic<unsigned> active{0};
   std::atomic<unsigned> open_slots{0};  ///< worker join permits
   std::atomic<bool> failed{false};
   std::mutex error_mutex;
   std::size_t error_index = std::numeric_limits<std::size_t>::max();
   std::exception_ptr error;
+
+  /// Every index finished and every thread left drain_batch.
+  [[nodiscard]] bool done() const {
+    return remaining.load(std::memory_order_acquire) == 0 &&
+           active.load(std::memory_order_acquire) == 0;
+  }
 };
 
 namespace {
@@ -100,10 +110,13 @@ void ThreadPool::drain_batch(Batch& batch, bool on_worker) {
   obs::Counter& claims =
       on_worker ? metrics.worker_claims : metrics.caller_claims;
   std::uint64_t executed = 0;
+  // Counted before the first claim: a thread that claims an index is
+  // active until its span is recorded, after the batch's last index.
+  batch.active.fetch_add(1, std::memory_order_acq_rel);
   {
-    // One participation span per (thread, batch); recording happens after
-    // the scope closes, outside the claim loop.
-    obs::TraceSpan span{on_worker ? "pool.drain.worker" : "pool.drain.caller"};
+    // One participation span per (thread, batch) that claims an index,
+    // opened at the first claim and recorded when the scope closes.
+    std::optional<obs::TraceSpan> span;
     for (;;) {
       // Check for a failure before claiming, never after: an index this
       // thread claims always runs, so no index below the lowest failing
@@ -124,6 +137,9 @@ void ThreadPool::drain_batch(Batch& batch, bool on_worker) {
       }
       const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= batch.count) break;
+      if (!span) {
+        span.emplace(on_worker ? "pool.drain.worker" : "pool.drain.caller");
+      }
       metrics.queue_depth.add(-1);
       ++executed;
       try {
@@ -141,6 +157,7 @@ void ThreadPool::drain_batch(Batch& batch, bool on_worker) {
   }
   metrics.tasks.add(executed);
   claims.add(executed);
+  batch.active.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void ThreadPool::run_worker() {
@@ -167,7 +184,7 @@ void ThreadPool::run_worker() {
     }
     if (!joined) continue;
     drain_batch(*batch, /*on_worker=*/true);
-    if (batch->remaining.load(std::memory_order_acquire) == 0) {
+    if (batch->done()) {
       std::lock_guard<std::mutex> lock{mutex_};
       done_cv_.notify_all();
     }
@@ -208,9 +225,7 @@ void ThreadPool::run_indexed(std::size_t count, unsigned parallelism,
 
   {
     std::unique_lock<std::mutex> lock{mutex_};
-    done_cv_.wait(lock, [&] {
-      return batch->remaining.load(std::memory_order_acquire) == 0;
-    });
+    done_cv_.wait(lock, [&] { return batch->done(); });
     batch_ = nullptr;
   }
   // Take the exception out of the batch: a worker may drop the last

@@ -58,10 +58,11 @@ class ThreadPool {
 
   /// Runs fn(0), ..., fn(count-1), using at most `parallelism` concurrent
   /// executors (caller included; 0 = pool size + 1). Blocks until every
-  /// index finished. If invocations throw, the exception of the *lowest*
-  /// failing index is rethrown (a deterministic choice); once a failure is
-  /// recorded, not-yet-claimed indices may be skipped, but a claimed index
-  /// always runs.
+  /// index finished and every thread that ran one recorded its
+  /// `pool.drain.*` trace span. If invocations throw, the exception of the
+  /// *lowest* failing index is rethrown (a deterministic choice); once a
+  /// failure is recorded, not-yet-claimed indices may be skipped, but a
+  /// claimed index always runs.
   ///
   /// Batches are serialized: concurrent calls from different threads queue
   /// up, and a call made from inside a running batch executes inline and

@@ -431,6 +431,159 @@ TEST(Propagation, UnaffectedVerdictsMatchTheNaiveReference) {
   EXPECT_GT(redone, 100u);
 }
 
+// A sink has no sibling, customer or hybrid link, so it exports to no one
+// (propagate() records its best offer without queueing it).
+bool is_sink(const topo::AsGraph& graph, topo::NodeId node) {
+  return std::ranges::none_of(graph.neighbors(node), [&](const auto& nb) {
+    return graph.edge(nb.edge).is_hybrid() ||
+           nb.role == topo::Neighbor::Role::kProvider ||
+           nb.role == topo::Neighbor::Role::kSibling;
+  });
+}
+
+TEST(Propagation, SinkMaskFollowsEdgeMutations) {
+  // The sink mask is rebuilt with the adjacency: a sink that gains a
+  // customer must be queued again, and a provider that loses its last
+  // customer must stop being queued. Both propagate() and collect_paths
+  // (whose unread mask leaves non-VP sinks out) must match the oracle in
+  // every state.
+  std::size_t to_core = 0, to_sink = 0, sink_origins = 0;
+  std::size_t full_sink_vps = 0, partial_sink_vps = 0;
+  std::size_t sink_peer_routes = 0, sink_tie_wins = 0;
+  const auto peer = static_cast<std::uint8_t>(RoutePref::kPeer);
+  const auto provider = static_cast<std::uint8_t>(RoutePref::kProvider);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    RandomWorld rw = random_world(seed);
+    auto& graph = rw.world.graph;
+    const topo::NodeId n = graph.node_count();
+    Propagator prop{rw.world, rw.params};
+    asrel::testing::Rng rng{seed ^ 0x51DEull};
+    const auto check = [&](int step) {
+      std::vector<bool> sink(n);
+      for (topo::NodeId node = 0; node < n; ++node) {
+        sink[node] = is_sink(graph, node);
+      }
+      for (const auto& vp : resolve_vp_sessions(graph, rw.vps)) {
+        if (!sink[vp.node]) continue;
+        ++(vp.full_feed ? full_sink_vps : partial_sink_vps);
+      }
+      const PathTable table = collect_paths(prop, rw.vps);
+      for (topo::NodeId origin = 0; origin < n; ++origin) {
+        const Asn origin_asn = graph.asn_of(origin);
+        const auto where = [&] {
+          return "seed " + std::to_string(seed) + ", step " +
+                 std::to_string(step) + ", origin AS" +
+                 std::to_string(origin_asn.value());
+        };
+        const OriginRib rib = prop.propagate(origin_asn);
+        const OriginRib want =
+            asrel::testing::naive_propagate(prop, origin_asn);
+        ASSERT_EQ(rib.parent, want.parent) << where();
+        ASSERT_EQ(rib.via_edge, want.via_edge) << where();
+        ASSERT_EQ(rib.pref, want.pref) << where();
+        ASSERT_EQ(rib.dist, want.dist) << where();
+        sink_origins += sink[origin] ? 1 : 0;
+        for (topo::NodeId node = 0; node < n; ++node) {
+          if (!sink[node] || node == origin) continue;
+          sink_peer_routes += want.pref[node] == peer ? 1 : 0;
+          if (want.pref[node] != provider) continue;
+          // Providers whose export reaches this sink at its own length.
+          std::size_t tied = 0;
+          for (const auto& nb : graph.neighbors(node)) {
+            if (nb.role != topo::Neighbor::Role::kCustomer) continue;
+            tied += want.reachable(nb.node) &&
+                            want.dist[nb.node] + 1 +
+                                    prop.prepend_count(nb.node, origin_asn) ==
+                                want.dist[node]
+                        ? 1
+                        : 0;
+          }
+          sink_tie_wins += tied >= 2 ? 1 : 0;
+        }
+
+        const auto paths = asrel::testing::naive_harvest(prop, want, rw.vps);
+        ASSERT_EQ(table.origin_path_count(origin), paths.size()) << where();
+        std::size_t i = 0;
+        table.for_each_path_of(origin, [&](const PathTable::PathRef& ref) {
+          EXPECT_EQ(ref.vp_index, paths[i].vp_index) << where();
+          EXPECT_TRUE(std::ranges::equal(ref.path, paths[i].path)) << where();
+          ++i;
+        });
+      }
+    };
+    check(0);
+    for (int step = 1; step <= 6; ++step) {
+      const auto pick = [&](bool want_sink) {
+        std::vector<topo::NodeId> nodes;
+        for (topo::NodeId node = 0; node < n; ++node) {
+          if (is_sink(graph, node) == want_sink) nodes.push_back(node);
+        }
+        return nodes.empty() ? topo::kInvalidNode : rng.pick(nodes);
+      };
+      if (step % 2 == 1) {
+        // A sink becomes a provider: of a neighbour it already has, or of
+        // a new customer.
+        const topo::NodeId node = pick(true);
+        ASSERT_NE(node, topo::kInvalidNode);
+        const auto neighbors = graph.neighbors(node);
+        if (!neighbors.empty() && rng.chance(0.5)) {
+          const topo::EdgeId id = neighbors[rng.below(neighbors.size())].edge;
+          ASSERT_TRUE(graph.set_edge_rel(id, topo::RelType::kP2C, node));
+        } else {
+          std::optional<topo::EdgeId> added;
+          while (!added) {
+            added = graph.add_edge(
+                graph.asn_of(node),
+                graph.asn_of(static_cast<topo::NodeId>(rng.below(n))),
+                topo::RelType::kP2C);
+          }
+        }
+        prop.rebuild_adjacency();
+        ASSERT_FALSE(is_sink(graph, node)) << "seed " << seed;
+        ++to_core;
+      } else {
+        // A transit AS loses every customer, sibling and hybrid link:
+        // removed, or turned into peering or a link to a new provider.
+        const topo::NodeId node = pick(false);
+        ASSERT_NE(node, topo::kInvalidNode);
+        const std::vector<topo::Neighbor> neighbors(
+            graph.neighbors(node).begin(), graph.neighbors(node).end());
+        for (const auto& nb : neighbors) {
+          if (!graph.edge(nb.edge).is_hybrid() &&
+              nb.role != topo::Neighbor::Role::kProvider &&
+              nb.role != topo::Neighbor::Role::kSibling) {
+            continue;
+          }
+          switch (rng.below(3)) {
+            case 0:
+              ASSERT_TRUE(graph.remove_edge(nb.edge));
+              break;
+            case 1:
+              ASSERT_TRUE(graph.set_edge_rel(nb.edge, topo::RelType::kP2P,
+                                             node));
+              break;
+            default:
+              ASSERT_TRUE(graph.set_edge_rel(nb.edge, topo::RelType::kP2C,
+                                             nb.node));
+              break;
+          }
+        }
+        prop.rebuild_adjacency();
+        ASSERT_TRUE(is_sink(graph, node)) << "seed " << seed;
+        ++to_sink;
+      }
+      check(step);
+    }
+  }
+  EXPECT_GT(to_core, 30u);
+  EXPECT_GT(to_sink, 30u);
+  EXPECT_GT(sink_origins, 1000u);
+  EXPECT_GT(full_sink_vps, 50u);
+  EXPECT_GT(partial_sink_vps, 50u);
+  EXPECT_GT(sink_peer_routes, 1000u);
+  EXPECT_GT(sink_tie_wins, 1000u);
+}
+
 void expect_same_rib(const OriginRib& a, const OriginRib& b) {
   EXPECT_EQ(a.origin, b.origin);
   EXPECT_EQ(a.parent, b.parent);
@@ -655,6 +808,78 @@ TEST(Collection, HarvestRefusesRibsWhoseChainsDoNotFallToTheOrigin) {
   }
   EXPECT_NE(refusal(lifted).find("origin distance is not 0"),
             std::string::npos);
+}
+
+TEST(Collection, SinkVantagePointsKeepTheirPaths) {
+  // collect_paths leaves sinks no collector reads unrouted, but a sink VP
+  // keeps its path. T1 and T2 peer. T1 provides A, C and D; A provides
+  // the origin O; C and D both provide Q and R; T2 provides P, which also
+  // peers with A. So P learns O's route from its peer A, and Q picks
+  // between C and D, whose offers are equally long.
+  topo::World world;
+  auto& graph = world.graph;
+  const Asn t1{10}, t2{11}, a{20}, c{22}, d{23}, o{30}, p{40}, q{41}, r{42};
+  for (const Asn asn : {t1, t2, a, c, d, o, p, q, r}) {
+    world.attrs[asn].prepend_propensity = 0.0;
+    graph.add_node(asn);
+  }
+  ASSERT_TRUE(graph.add_edge(t1, t2, topo::RelType::kP2P));
+  for (const auto& [up, down] : std::vector<std::pair<Asn, Asn>>{
+           {t1, a}, {t1, c}, {t1, d}, {a, o}, {t2, p},
+           {c, q}, {d, q}, {c, r}, {d, r}}) {
+    ASSERT_TRUE(graph.add_edge(up, down, topo::RelType::kP2C));
+  }
+  ASSERT_TRUE(graph.add_edge(a, p, topo::RelType::kP2P));
+  const std::vector<VantagePoint> vps{
+      {t1, true, false}, {p, true, false}, {q, true, false}, {a, false, false}};
+  const Propagator prop{world, quiet_params()};
+  const auto node = [&](Asn asn) { return *graph.node_of(asn); };
+  for (const Asn sink : {o, p, q, r}) EXPECT_TRUE(is_sink(graph, node(sink)));
+
+  const OriginRib from_o = prop.propagate(o);
+  EXPECT_EQ(from_o.pref[node(p)], static_cast<std::uint8_t>(RoutePref::kPeer));
+  EXPECT_EQ(from_o.parent[node(p)], node(a));
+  EXPECT_EQ(from_o.pref[node(q)],
+            static_cast<std::uint8_t>(RoutePref::kProvider));
+  EXPECT_EQ(from_o.dist[node(c)], from_o.dist[node(d)]);
+  // An unread flag drops a sink's route, the origin's excepted, and is
+  // ignored on a transit AS.
+  const std::vector<std::uint8_t> unread(graph.node_count(), 1);
+  const OriginRib pruned = prop.propagate(o, unread);
+  for (const Asn sink : {p, q, r}) EXPECT_FALSE(pruned.reachable(node(sink)));
+  EXPECT_EQ(pruned.dist[node(o)], 0);
+  for (const Asn transit : {t1, t2, a, c, d}) {
+    EXPECT_EQ(pruned.parent[node(transit)], from_o.parent[node(transit)]);
+    EXPECT_EQ(pruned.dist[node(transit)], from_o.dist[node(transit)]);
+  }
+  EXPECT_THROW((void)prop.propagate(o, std::span{unread}.first(2)),
+               std::invalid_argument);
+
+  const PathTable table = collect_paths(prop, vps);
+  std::size_t sink_vp_paths = 0;
+  for (topo::NodeId origin = 0; origin < graph.node_count(); ++origin) {
+    const Asn origin_asn = graph.asn_of(origin);
+    const std::uint32_t at = origin_asn.value();
+    const OriginRib want = asrel::testing::naive_propagate(prop, origin_asn);
+    const OriginRib rib = prop.propagate(origin_asn);
+    EXPECT_EQ(rib.parent[node(r)], want.parent[node(r)]) << at;
+    EXPECT_EQ(rib.via_edge[node(r)], want.via_edge[node(r)]) << at;
+    EXPECT_EQ(rib.pref[node(r)], want.pref[node(r)]) << at;
+    EXPECT_EQ(rib.dist[node(r)], want.dist[node(r)]) << at;
+    EXPECT_TRUE(rib.reachable(node(r))) << at;
+
+    const auto paths = asrel::testing::naive_harvest(prop, want, vps);
+    ASSERT_EQ(table.origin_path_count(origin), paths.size()) << at;
+    std::size_t i = 0;
+    table.for_each_path_of(origin, [&](const PathTable::PathRef& ref) {
+      EXPECT_EQ(ref.vp_index, paths[i].vp_index) << at;
+      EXPECT_TRUE(std::ranges::equal(ref.path, paths[i].path)) << at;
+      sink_vp_paths += ref.path.front() == p || ref.path.front() == q ? 1 : 0;
+      ++i;
+    });
+  }
+  // P and Q each reach every origin but themselves.
+  EXPECT_EQ(sink_vp_paths, 2 * (graph.node_count() - 1));
 }
 
 TEST(Collection, PathCountMatchesRecount) {

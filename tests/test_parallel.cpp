@@ -8,6 +8,7 @@
 // nesting); the report tests check the whole pipeline keeps it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -292,6 +293,36 @@ TEST(ThreadPool, TracedBuildsAddAtMostOneTracerBuffer) {
     (void)core::Scenario::build(params);
   }
   EXPECT_LE(obs::Tracer::instance().thread_count(), baseline + 1);
+}
+
+TEST(ThreadPool, WorkerSpansAreRecordedBeforeRunIndexedReturns) {
+  // A worker records its pool.drain.worker span after its last index, so
+  // run_indexed must also wait for that: right after it returns, every
+  // worker that ran an index has its span in the tracer.
+  obs::ScopedTracing tracing{true, /*clear_on_exit=*/true};
+  core::ThreadPool& pool = core::ThreadPool::shared();
+  const std::size_t executors = pool.worker_count() + 1;
+  for (int batch = 0; batch < 200; ++batch) {
+    obs::Tracer::instance().clear();
+    // Every executor holds one index until all have claimed theirs.
+    std::atomic<std::size_t> arrived{0};
+    pool.run_indexed(executors, 0, [&](std::size_t) {
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load() < executors &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+    ASSERT_EQ(arrived.load(), executors) << "batch " << batch;
+    const auto spans = obs::Tracer::instance().collect();
+    const auto workers = std::ranges::count_if(spans, [](const auto& span) {
+      return span.name == "pool.drain.worker";
+    });
+    ASSERT_EQ(workers, static_cast<std::ptrdiff_t>(pool.worker_count()))
+        << "batch " << batch;
+  }
 }
 
 // ---- end-to-end: reports are byte-identical at every thread count --------
